@@ -82,7 +82,7 @@ def check_report(doc, path):
         require(iface, "transaction_code", int, ctx)
         for field in ("risky", "reaches_jgr_entry", "takes_binder",
                       "sifted_out", "links_to_death", "mints_session",
-                      "app_hosted"):
+                      "constraint_trusts_caller", "app_hosted"):
             require(iface, field, bool, ctx)
         require(iface, "sift_reason", str, ctx)
         require(iface, "retention_via", str, ctx)

@@ -1,7 +1,6 @@
 #include "analysis/pipeline.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 
 #include "analysis/taint/engine.h"
@@ -113,8 +112,8 @@ std::string_view SiftReasonName(SiftReason reason) {
 }
 
 std::string SiftReasonText(SiftReason reason, std::string_view via) {
-  // The historical report texts, byte-for-byte: the census gate and the
-  // analysis-report JSON still compare/emit these strings.
+  // The historical report texts, byte-for-byte: the analysis-report JSON
+  // emits these strings and its golden copy pins them.
   std::string_view text;
   bool takes_via = false;
   switch (reason) {
@@ -150,68 +149,11 @@ std::string SiftReasonText(SiftReason reason, std::string_view via) {
 
 namespace {
 
-// BFS over Java call edges; returns the set of JGR entry methods reachable
-// from `start` (inclusive). Legacy detector only — the engine gets the same
-// set from the method's summary.
-std::set<std::string> ReachableJgrEntries(const CodeModel& model,
-                                          const std::string& start,
-                                          const JgrEntrySet& entries) {
-  std::set<std::string> reached;
-  std::set<std::string> visited;
-  std::deque<std::string> queue{start};
-  while (!queue.empty()) {
-    const std::string current = queue.front();
-    queue.pop_front();
-    if (!visited.insert(current).second) continue;
-    if (entries.java_entries.count(current) > 0) reached.insert(current);
-    if (const JavaMethodModel* m = model.FindJavaMethod(current)) {
-      for (const std::string& callee : m->callees) queue.push_back(callee);
-    }
-  }
-  return reached;
-}
-
-// Legacy sifter: keys on the entry method's own BodyFacts.
-void ApplySifter(AnalyzedInterface* iface, const JavaMethodModel& method,
-                 const std::set<std::string>& reached_entries) {
-  // Rule 1: the only JGR entry on the path is thread creation, whose native
-  // side releases the reference before returning.
-  iface->only_creates_thread =
-      !reached_entries.empty() &&
-      std::all_of(reached_entries.begin(), reached_entries.end(),
-                  [](const std::string& e) {
-                    return e == model::kThreadCreateEntry;
-                  });
-  if (iface->only_creates_thread && !iface->takes_binder) {
-    iface->sifted_out = true;
-    iface->sift_reason = SiftReason::kRule1ThreadOnly;
-    return;
-  }
-  const bool retains_collection =
-      method.HasFact(BodyFact::kStoresParamInCollection);
-  if (retains_collection) return;  // genuinely retained: stays a candidate
-  if (method.HasFact(BodyFact::kUsesParamTransiently)) {
-    iface->sifted_out = true;
-    iface->sift_reason = SiftReason::kRule2Transient;
-    return;
-  }
-  if (method.HasFact(BodyFact::kUsesParamAsReadOnlyKey)) {
-    iface->sifted_out = true;
-    iface->sift_reason = SiftReason::kRule3ReadOnlyKey;
-    return;
-  }
-  if (method.HasFact(BodyFact::kStoresParamInMemberSlot)) {
-    iface->sifted_out = true;
-    iface->sift_reason = SiftReason::kRule4MemberSlot;
-    return;
-  }
-}
-
-// Engine sifter: the same four rules as predicates over the method's
+// The sifter: the four rules as predicates over the method's
 // interprocedural summary. When the deciding retention came from a callee
 // rather than the entry's own body, `retention_via` names the provenance in
-// the derived reason text — on the AOSP corpus (facts on the entry) the
-// texts are byte-identical to legacy.
+// the derived reason text; on the AOSP corpus every fact sits on the entry,
+// so no reason carries it.
 void ApplySummarySifter(AnalyzedInterface* iface,
                         const taint::MethodSummary& summary) {
   if (summary.only_creates_thread && !iface->takes_binder) {
@@ -239,8 +181,7 @@ void ApplySummarySifter(AnalyzedInterface* iface,
   }
 }
 
-// Service/app metadata, permission mapping and protection classification
-// shared by the engine and legacy paths.
+// Service/app metadata, permission mapping and protection classification.
 struct AnalysisContext {
   const CodeModel* model;
   std::map<std::string, const model::AppServiceModel*> app_by_service;
@@ -337,33 +278,6 @@ AnalysisReport RunAnalysis(const CodeModel& model) {
     if (iface.risky && !iface.sifted_out) {
       iface.witness = engine.WitnessFor(id, iface.takes_binder);
     }
-    report.interfaces.push_back(std::move(iface));
-  };
-  for (const std::string& id : report.ipc_methods.service_methods) {
-    analyze(id, /*app_hosted=*/false);
-  }
-  for (const std::string& id : report.ipc_methods.app_methods) {
-    analyze(id, /*app_hosted=*/true);
-  }
-  SortInterfaces(&report);
-  return report;
-}
-
-AnalysisReport RunAnalysisLegacy(const CodeModel& model) {
-  AnalysisReport report;
-  report.ipc_methods = ExtractIpcMethods(model);
-  report.jgr_entries = ExtractJgrEntries(model);
-
-  const AnalysisContext ctx(model);
-  auto analyze = [&](const std::string& id, bool app_hosted) {
-    const JavaMethodModel& method = *model.FindJavaMethod(id);
-    AnalyzedInterface iface = ctx.MakeBase(id, app_hosted);
-    const std::set<std::string> reached =
-        ReachableJgrEntries(model, id, report.jgr_entries);
-    iface.reaches_jgr_entry = !reached.empty();
-    iface.risky = iface.reaches_jgr_entry || iface.takes_binder;
-    if (iface.risky) ApplySifter(&iface, method, reached);
-    ctx.Finish(&iface, method);
     report.interfaces.push_back(std::move(iface));
   };
   for (const std::string& id : report.ipc_methods.service_methods) {

@@ -8,9 +8,9 @@
 // the Java call graph to a fixpoint and stitched through the JNI bridge into
 // the native graph, so retention annotated on a helper deep in the call
 // chain surfaces at the IPC entry, and every risky verdict carries a
-// concrete witness path down to IndirectReferenceTable::Add. The original
-// entry-local detector is kept as RunAnalysisLegacy — the golden cross-check
-// the census gate compares the engine against.
+// concrete witness path down to IndirectReferenceTable::Add. Its
+// per-interface verdicts on the AOSP corpus are pinned by the golden report
+// tests/golden/aosp_analysis_report.json.
 #ifndef JGRE_ANALYSIS_PIPELINE_H_
 #define JGRE_ANALYSIS_PIPELINE_H_
 
@@ -97,9 +97,9 @@ struct AnalyzedInterface {
   // Every JGR entry reached is thread creation (sift rule 1's predicate).
   bool only_creates_thread = false;
 
-  // Summary-derived facts (engine path only; legacy leaves the defaults):
-  // the interface's transitive retention kind, the callee that supplied it
-  // ("" = the entry's own body), and the evidence chain for risky verdicts.
+  // Summary-derived facts: the interface's transitive retention kind, the
+  // callee that supplied it ("" = the entry's own body), and the evidence
+  // chain for risky verdicts.
   taint::Retention retention = taint::Retention::kNone;
   std::string retention_via;
   bool links_to_death = false;
@@ -124,7 +124,7 @@ struct AnalysisReport {
   IpcMethodSet ipc_methods;
   JgrEntrySet jgr_entries;
   std::vector<AnalyzedInterface> interfaces;  // every IPC method, annotated
-  taint::EngineStats engine_stats;  // zero-filled on the legacy path
+  taint::EngineStats engine_stats;
 
   // Risky, unsifted interfaces — the candidates for dynamic verification —
   // as indices into `interfaces`. Indices (not pointers) so the result stays
@@ -141,12 +141,6 @@ struct AnalysisReport {
 // Summary-based engine analysis: every risky, unsifted interface carries a
 // witness path ending at the JGR sink.
 AnalysisReport RunAnalysis(const model::CodeModel& model);
-
-// The original entry-local detector (single hand-annotated BodyFact on the
-// entry, per-entry BFS, no witnesses). Kept as the golden cross-check: the
-// census gate asserts RunAnalysis produces identical verdicts on the AOSP
-// corpus before trusting the engine's extra expressiveness.
-AnalysisReport RunAnalysisLegacy(const model::CodeModel& model);
 
 // §VI extension: IPC methods that retain *other* exhaustible resources
 // (file descriptors) — invisible to the JGR-centric pipeline above, but

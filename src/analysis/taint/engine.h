@@ -1,7 +1,7 @@
 // TaintEngine — summary-based interprocedural dataflow over the CodeModel.
 //
-// The legacy detector re-ran a whole-graph BFS per IPC entry and read the
-// sift facts off the entry method alone. The engine instead computes one
+// An entry-local detector re-runs a whole-graph BFS per IPC entry and reads
+// the sift facts off the entry method alone. The engine instead computes one
 // MethodSummary per Java method, bottom-up over the condensation of the call
 // graph (Tarjan SCCs; mutually recursive helpers share a component iterated
 // to a local fixpoint), so:

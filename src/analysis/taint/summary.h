@@ -65,8 +65,8 @@ struct MethodSummary {
   bool mints_session = false;    // self or any callee mints+retains a session
   bool only_creates_thread = false;  // every reached entry is thread creation
 
-  // Java-level JGR entry methods reachable from this method (inclusive):
-  // the summary analogue of the legacy per-entry BFS.
+  // Java-level JGR entry methods reachable from this method (inclusive),
+  // computed once per method instead of by a BFS per IPC entry.
   std::set<std::string> jgr_entries;
 
   bool reaches_jgr_entry() const { return !jgr_entries.empty(); }

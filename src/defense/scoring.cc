@@ -13,7 +13,7 @@ namespace {
 // least 2^64/d — far above the microsecond delays this file divides
 // (<= max_delay + delta). The per-pair bucket mapping runs two of these, so
 // replacing ~25-cycle div instructions with multiplies is most of the
-// batched engine's per-pair win.
+// scorer's per-pair cost saving.
 class FastDiv {
  public:
   explicit FastDiv(std::uint64_t d)
@@ -40,75 +40,25 @@ std::size_t BucketCount(const ScoringParams& params) {
          2;
 }
 
-// Scores a single IPC type: interval votes over delay buckets, then the max.
-// `delay_votes` must arrive zeroed; call_times must be sorted ascending.
-template <typename Tree>
-std::int64_t ScoreType(Tree& delay_votes, const std::vector<TimeUs>& call_times,
-                       const std::vector<TimeUs>& jgr_add_times,
-                       const ScoringParams& params, ScoringCost* cost) {
-  bool any = false;
-  for (TimeUs ipc_time : call_times) {
-    // JGR adds that could have been caused by this call: those within
-    // [ipc_time, ipc_time + max_delay].
-    auto lo = std::lower_bound(jgr_add_times.begin(), jgr_add_times.end(),
-                               ipc_time);
-    auto hi = std::upper_bound(lo, jgr_add_times.end(),
-                               ipc_time + params.max_delay_us);
-    for (auto it = lo; it != hi; ++it) {
-      const DurationUs min_delay = *it - ipc_time;
-      const DurationUs max_delay = min_delay + params.delta_us;
-      delay_votes.AddRange(
-          static_cast<std::int64_t>(min_delay / params.bucket_us),
-          static_cast<std::int64_t>(max_delay / params.bucket_us), 1);
-      any = true;
-      if (cost != nullptr) {
-        ++cost->pairs;
-        ++cost->range_ops;
-      }
-    }
-  }
-  if (!any) return 0;
-  // Peak peeling (§VI, multiple attack paths): take the best-supported delay
-  // hypothesis, suppress its ±Δ neighbourhood, and repeat up to max_paths
-  // times. With max_paths == 1 this is exactly Algorithm 1.
-  constexpr typename Tree::Value kSuppress = std::int64_t{1} << 40;
-  const std::int64_t peak_halo =
-      static_cast<std::int64_t>(params.delta_us / params.bucket_us) + 1;
-  std::int64_t total = 0;
-  const int paths = std::max(1, params.max_paths);
-  for (int path = 0; path < paths; ++path) {
-    const auto peak = delay_votes.GlobalMax();
-    if (peak <= 0) break;
-    total += peak;
-    if (path + 1 < paths) {
-      const auto arg = static_cast<std::int64_t>(delay_votes.ArgGlobalMax());
-      delay_votes.AddRange(arg - peak_halo, arg + peak_halo, -kSuppress);
-    }
-  }
-  return total;
-}
-
-// The batched engine. Semantically identical to ScoreType on a segment
-// tree, but restructured for flat column passes:
+// Scores a single IPC type: interval votes over delay buckets, then the
+// best-supported bucket. call_times must be sorted ascending.
 //
 //   1. Pairing: call_times and jgr_add_times are both sorted, so the
 //      causal window [ipc_time, ipc_time + max_delay] is tracked with two
 //      monotone cursors — O(calls + adds + pairs) total instead of a binary
 //      search per call.
-//   2. Voting: each pair votes +1 on its delay-bucket interval via a
-//      difference array (two additions), replacing an O(log buckets) lazy
-//      tree update.
+//   2. Voting: each pair votes +1 on its delay-bucket interval
+//      [MinDelay, MaxDelay] via a difference array (two additions).
 //   3. Peak: one prefix scan materializes the per-bucket vote counts; a
-//      linear max with strict `>` keeps the *first* maximal bucket, which
-//      is exactly MaxSegmentTree::ArgGlobalMax's left-biased descent.
-//   4. Peeling (max_paths > 1): suppression subtracts the same kSuppress
-//      constant over the same clamped halo the tree version applies, then
-//      rescans — identical path sums, identical work counters.
-std::int64_t ScoreTypeBatched(std::vector<std::int64_t>& votes,
-                              std::size_t buckets,
-                              const std::vector<TimeUs>& call_times,
-                              const std::vector<TimeUs>& jgr_add_times,
-                              const ScoringParams& params, ScoringCost* cost) {
+//      linear max with strict `>` keeps the *first* maximal bucket.
+//   4. Peeling (§VI, multiple attack paths; max_paths > 1): take the peak,
+//      suppress its ±Δ neighbourhood (clamped to the vote axis), and rescan,
+//      up to max_paths times. With max_paths == 1 this is exactly
+//      Algorithm 1.
+std::int64_t ScoreType(std::vector<std::int64_t>& votes, std::size_t buckets,
+                       const std::vector<TimeUs>& call_times,
+                       const std::vector<TimeUs>& jgr_add_times,
+                       const ScoringParams& params, ScoringCost* cost) {
   votes.assign(buckets + 1, 0);
   const std::size_t adds = jgr_add_times.size();
   const FastDiv bucket_div(static_cast<std::uint64_t>(params.bucket_us));
@@ -174,15 +124,6 @@ std::int64_t ScoreTypeBatched(std::vector<std::int64_t>& votes,
 
 }  // namespace
 
-MaxSegmentTree& ScoringWorkspace::AcquireTree(std::size_t buckets) {
-  if (tree_ == nullptr || tree_->size() != buckets) {
-    tree_ = std::make_unique<MaxSegmentTree>(buckets);
-  } else {
-    tree_->Reset();
-  }
-  return *tree_;
-}
-
 std::int64_t JgreScoreForApp(const std::vector<IpcEvent>& app_calls,
                              const std::vector<TimeUs>& jgr_add_times,
                              const ScoringParams& params, ScoringCost* cost,
@@ -224,21 +165,8 @@ std::int64_t JgreScoreForApp(const std::vector<IpcEvent>& app_calls,
     for (std::size_t i = run_start; i < run_end; ++i) {
       times.push_back(events[i].t);
     }
-    switch (params.engine) {
-      case ScoreEngine::kBatched:
-        score += ScoreTypeBatched(ws.votes_buffer(), buckets, times,
-                                  jgr_add_times, params, cost);
-        break;
-      case ScoreEngine::kSegmentTree:
-        score += ScoreType(ws.AcquireTree(buckets), times, jgr_add_times,
-                           params, cost);
-        break;
-      case ScoreEngine::kNaive: {
-        NaiveRangeMax naive(buckets);
-        score += ScoreType(naive, times, jgr_add_times, params, cost);
-        break;
-      }
-    }
+    score += ScoreType(ws.votes_buffer(), buckets, times, jgr_add_times,
+                       params, cost);
     run_start = run_end;
   }
   return score;

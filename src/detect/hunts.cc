@@ -122,41 +122,15 @@ std::size_t AlarmThresholdOf(const DataSources& sources) {
 
 // --- SiftRuleHunt ------------------------------------------------------------
 
-analysis::SiftReason SiftRuleHunt::Classify(
-    const analysis::AnalyzedInterface& iface) {
-  using analysis::SiftReason;
-  if (!iface.risky) return SiftReason::kNone;
-  // Rule 1: every reached JGR entry is thread creation, and no binder is
-  // received — the reference dies with the started thread.
-  if (iface.only_creates_thread && !iface.takes_binder) {
-    return SiftReason::kRule1ThreadOnly;
-  }
-  // Rules 2-4 over the interface's transitive retention kind.
-  switch (iface.retention) {
-    case analysis::taint::Retention::kTransient:
-      return SiftReason::kRule2Transient;
-    case analysis::taint::Retention::kReadOnlyKey:
-      return SiftReason::kRule3ReadOnlyKey;
-    case analysis::taint::Retention::kMemberSlot:
-      return SiftReason::kRule4MemberSlot;
-    case analysis::taint::Retention::kCollection:
-    case analysis::taint::Retention::kNone:
-      break;  // retained (or unknown): stays a candidate
-  }
-  // Permission filter: unreachable from third-party apps.
-  if (iface.permission_level == model::PermissionLevel::kSignature) {
-    return SiftReason::kSignaturePermission;
-  }
-  return SiftReason::kNone;
-}
-
 std::vector<Detection> SiftRuleHunt::Run(const DataSources& sources,
                                          const Scope& scope) const {
   std::vector<Detection> out;
   for (const analysis::AnalyzedInterface& iface :
        sources.analysis->interfaces) {
-    if (!iface.risky || !scope.AdmitsService(iface.service)) continue;
-    if (Classify(iface) != analysis::SiftReason::kNone) continue;
+    if (!iface.risky || iface.sifted_out ||
+        !scope.AdmitsService(iface.service)) {
+      continue;
+    }
     Detection d;
     d.hunt = std::string(id());
     d.interface_id = iface.id;

@@ -1,10 +1,10 @@
 // The standard hunt battery.
 //
-// Three port the pipeline's existing verdict logic behind the Hunt interface
-// (the four sift rules, the fuzz oracle's screen/confirm bars, the
-// defender's alarm-report check) — each is pinned by tests to reproduce the
-// legacy verdicts exactly on the 57-interface census. Two are new detectors
-// for the follow-up work's evasion patterns (arXiv 2405.00526): slow-drip
+// Three put the pipeline's existing verdicts behind the Hunt interface (the
+// static sifter's, the fuzz oracle's screen/confirm bars, the defender's
+// alarm-report check) — each is pinned by tests to reproduce those verdicts
+// exactly on the 57-interface census. Two are new detectors for the
+// follow-up work's evasion patterns (arXiv 2405.00526): slow-drip
 // retention that stays under the monitor's alarm threshold, and
 // death-recipient/weak-reference churn that grows nothing net but burns the
 // victim's table bandwidth through one interface.
@@ -18,11 +18,10 @@
 
 namespace jgre::detect {
 
-// Port of the static sifter: re-derives the four sift rules plus the
-// signature-permission filter from the analyzed interfaces' typed facts and
-// accuses every risky interface the rules leave standing. Candidates with a
-// taint witness are kStrong; a legacy (witness-free) report yields
-// kHypothetical.
+// The static sifter's verdict as a hunt: accuses every risky interface the
+// four sift rules and the signature-permission filter left standing
+// (risky && !sifted_out). Candidates with a taint witness are kStrong; a
+// witness-free interface yields kHypothetical.
 class SiftRuleHunt : public Hunt {
  public:
   std::string_view id() const override { return "static.sift-rules"; }
@@ -34,10 +33,6 @@ class SiftRuleHunt : public Hunt {
   }
   std::vector<Detection> Run(const DataSources& sources,
                              const Scope& scope) const override;
-
-  // The rule evaluation itself, exposed for the golden cross-check: on every
-  // risky interface this must agree with AnalyzedInterface::sift_reason.
-  static analysis::SiftReason Classify(const analysis::AnalyzedInterface&);
 };
 
 // Port of the two-stage fuzz oracle: re-judges each campaign finding's

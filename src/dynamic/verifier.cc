@@ -14,8 +14,9 @@ namespace jgre::dynamic {
 namespace {
 
 // Javapoet-style payload synthesis: defaults per parameter kind, fresh
-// Binder objects for callback parameters, and — for the adversarial probe —
-// the "android" spoof in every string slot.
+// Binder objects for callback parameters, a descriptor for fd parameters,
+// and — for the adversarial probe — the "android" spoof in every string
+// slot.
 void WriteProbeArgs(const model::JavaMethodModel& method,
                     services::AppProcess& app, binder::Parcel& parcel,
                     bool adversarial) {
@@ -38,6 +39,9 @@ void WriteProbeArgs(const model::JavaMethodModel& method,
         break;
       case services::ArgKind::kBinder:
         parcel.WriteStrongBinder(app.NewBinder("ProbeCallback"));
+        break;
+      case services::ArgKind::kFd:
+        parcel.WriteFileDescriptor();
         break;
     }
   }

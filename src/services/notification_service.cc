@@ -95,7 +95,7 @@ void NotificationService::RestoreState(snapshot::Deserializer& in) {
 
 Status NotificationService::OnTransact(std::uint32_t code,
                                        const binder::Parcel& data,
-                                       binder::Parcel* reply,
+                                       binder::Parcel* /*reply*/,
                                        const binder::CallContext& ctx) {
   JGRE_RETURN_IF_ERROR(data.EnforceInterface(kDescriptor));
   switch (code) {

@@ -15,6 +15,7 @@
 #include "defense/scoring.h"
 #include "obs/event.h"
 #include "obs/event_bus.h"
+#include "scoring_reference.h"
 
 namespace jgre {
 namespace {
@@ -143,14 +144,12 @@ constexpr defense::IpcTypeKey kBenign1 = defense::MakeIpcTypeKey(2, 1);
 constexpr defense::IpcTypeKey kTypeA = defense::MakeIpcTypeKey(3, 1);
 constexpr defense::IpcTypeKey kTypeB = defense::MakeIpcTypeKey(4, 2);
 
-defense::ScoringParams TestParams(
-    defense::ScoreEngine engine = defense::ScoreEngine::kBatched) {
+defense::ScoringParams TestParams() {
   defense::ScoringParams params;
   params.delta_us = 500;
   params.bucket_us = 50;
   params.max_delay_us = 20'000;
   params.analysis_window_us = 0;
-  params.engine = engine;
   return params;
 }
 
@@ -219,32 +218,85 @@ TEST(ScoringTest, PairsOutsideMaxDelayIgnored) {
   EXPECT_EQ(cost.pairs, 0);
 }
 
-// Property: segment-tree and naive scoring agree on random workloads.
+// Where a synthetic workload puts its delay clusters on the vote axis of
+// TestParams() (412 buckets of 50 µs; a peak's suppression halo is ±11).
+enum class PeakAt {
+  // Calls close together, so every add also pairs with its neighbours.
+  kAnywhere,
+  // Best-supported delay in bucket 0: the first halo runs off the low end.
+  kFirstBucket,
+  // Peaks at buckets 389 and 401: the second halo runs off the high end.
+  kLastBucket,
+};
+
+struct ScoringWorkload {
+  std::vector<defense::IpcEvent> calls;
+  std::vector<TimeUs> adds;
+};
+
+ScoringWorkload RandomScoringWorkload(std::uint64_t seed, PeakAt peak_at) {
+  Rng rng(seed);
+  ScoringWorkload w;
+  TimeUs t = 1000;
+  const int n = 50 + static_cast<int>(rng.UniformU64(300));
+  for (int i = 0; i < n; ++i) {
+    if (peak_at == PeakAt::kAnywhere) {
+      t += 200 + rng.UniformU64(3000);
+      w.calls.push_back({t, rng.Chance(0.5) ? kTypeA : kTypeB});
+      if (rng.Chance(0.8)) w.adds.push_back(t + 100 + rng.UniformU64(5000));
+      if (rng.Chance(0.2)) w.adds.push_back(t + rng.UniformU64(30'000));
+      continue;
+    }
+    // Calls farther apart than max_delay: each add pairs with its own call
+    // only, so the clusters below land exactly where their comments say.
+    t += 20'001 + rng.UniformU64(3000);
+    w.calls.push_back({t, rng.Chance(0.5) ? kTypeA : kTypeB});
+    if (peak_at == PeakAt::kFirstBucket) {
+      w.adds.push_back(t + rng.UniformU64(50));  // buckets 0..10
+      if (rng.Chance(0.6)) w.adds.push_back(t + 3000);
+    } else {
+      w.adds.push_back(t + 19'450 + rng.UniformU64(50));  // buckets 389..399
+      if (rng.Chance(0.6)) w.adds.push_back(t + 20'000);  // buckets 400..410
+    }
+    if (rng.Chance(0.2)) w.adds.push_back(t + 5000 + rng.UniformU64(10'000));
+  }
+  std::sort(w.adds.begin(), w.adds.end());
+  return w;
+}
+
+// Property: the scorer matches the naive reference (scoring_reference.h)
+// score for score and pair for pair, for one to three peeled paths, on
+// random workloads and on workloads whose peaks sit at either end of the
+// vote axis.
 class ScoringEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(ScoringEquivalenceTest, EnginesAgree) {
-  Rng rng(GetParam());
-  std::vector<defense::IpcEvent> calls;
-  std::vector<TimeUs> adds;
-  TimeUs t = 1000;
-  const int n = 50 + static_cast<int>(rng.UniformU64(300));
-  for (int i = 0; i < n; ++i) {
-    t += 200 + rng.UniformU64(3000);
-    calls.push_back(
-        {t, rng.Chance(0.5) ? kTypeA : kTypeB});
-    if (rng.Chance(0.8)) adds.push_back(t + 100 + rng.UniformU64(5000));
-    if (rng.Chance(0.2)) adds.push_back(t + rng.UniformU64(30'000));
+  for (const PeakAt peak_at :
+       {PeakAt::kAnywhere, PeakAt::kFirstBucket, PeakAt::kLastBucket}) {
+    const ScoringWorkload w = RandomScoringWorkload(GetParam(), peak_at);
+    for (const int max_paths : {1, 2, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "peak_at=" << static_cast<int>(peak_at)
+                   << " max_paths=" << max_paths);
+      defense::ScoringParams params = TestParams();
+      params.max_paths = max_paths;
+      defense::ScoringCost cost;
+      const std::int64_t score =
+          defense::JgreScoreForApp(w.calls, w.adds, params, &cost);
+      const scoring_reference::Outcome reference =
+          scoring_reference::Score(w.calls, w.adds, params);
+      EXPECT_EQ(score, reference.score);
+      EXPECT_EQ(cost.pairs, reference.pairs);
+      // The edge workloads really do push a halo off the axis.
+      if (max_paths == 3 && peak_at == PeakAt::kFirstBucket) {
+        EXPECT_GT(reference.low_clamps, 0);
+      }
+      if (max_paths == 3 && peak_at == PeakAt::kLastBucket) {
+        EXPECT_GT(reference.high_clamps, 0);
+      }
+    }
   }
-  std::sort(adds.begin(), adds.end());
-  const auto batched = defense::JgreScoreForApp(
-      calls, adds, TestParams(defense::ScoreEngine::kBatched));
-  const auto tree = defense::JgreScoreForApp(
-      calls, adds, TestParams(defense::ScoreEngine::kSegmentTree));
-  const auto naive = defense::JgreScoreForApp(
-      calls, adds, TestParams(defense::ScoreEngine::kNaive));
-  EXPECT_EQ(batched, tree);
-  EXPECT_EQ(tree, naive);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, ScoringEquivalenceTest,

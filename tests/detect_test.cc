@@ -273,19 +273,6 @@ core::AndroidSystem* DetectGoldenTest::system_ = nullptr;
 model::CodeModel* DetectGoldenTest::model_ = nullptr;
 analysis::AnalysisReport* DetectGoldenTest::report_ = nullptr;
 
-TEST_F(DetectGoldenTest, SiftRuleHuntMatchesPipelineVerdictsOnEveryInterface) {
-  // The ported rule evaluation must reproduce the pipeline's sift_reason on
-  // every risky interface of the derived census — same rules, same order.
-  int risky = 0;
-  for (const analysis::AnalyzedInterface& iface : report_->interfaces) {
-    if (!iface.risky) continue;
-    ++risky;
-    EXPECT_EQ(detect::SiftRuleHunt::Classify(iface), iface.sift_reason)
-        << iface.id;
-  }
-  EXPECT_GT(risky, 57);  // candidates + everything the rules sift out
-}
-
 TEST_F(DetectGoldenTest, SiftRuleHuntEmitsExactlyTheCensusCandidates) {
   detect::DataSources sources;
   sources.analysis = report_;

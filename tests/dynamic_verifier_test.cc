@@ -88,6 +88,22 @@ TEST_F(VerifierTest, PicoTtsSetCallbackCrashesTheAppNotTheSystem) {
   EXPECT_TRUE(verdict.victim_aborted);
 }
 
+// An fd parameter must reach the service as a real descriptor: dropbox's
+// addFile ({kString, kFd}) dups every one it receives into system_server
+// and never closes it, so a probe that sends the fd starves system_server
+// at RLIMIT_NOFILE (1,024) and soft-reboots the device long before the
+// 1,200-call early exit. A parcel without the fd fails to unmarshal, the
+// service keeps nothing, and the probe ends bounded.
+TEST_F(VerifierTest, FdParameterReachesTheService) {
+  const analysis::AnalyzedInterface* add_file = Find("dropbox", "addFile");
+  ASSERT_NE(add_file, nullptr);
+  dynamic::JgreVerifier verifier(FastOptions());
+  auto verdict = verifier.Verify(*add_file, *model_);
+  EXPECT_TRUE(verdict.tested) << verdict.skip_reason;
+  EXPECT_TRUE(verdict.victim_aborted);
+  EXPECT_LE(verdict.calls_issued, 1024);
+}
+
 TEST_F(VerifierTest, FullSweepReproducesTheCensus) {
   dynamic::JgreVerifier verifier(FastOptions());
   auto verdicts = verifier.VerifyAll(*report_, *model_);

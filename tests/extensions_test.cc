@@ -12,6 +12,7 @@
 #include "defense/jgre_defender.h"
 #include "defense/scoring.h"
 #include "model/corpus.h"
+#include "scoring_reference.h"
 #include "services/safe_service.h"
 
 namespace jgre {
@@ -202,20 +203,12 @@ TEST(MultiPathScoringTest, ExtraPathsDoNotInflateSinglePathAttackers) {
 }
 
 TEST(MultiPathScoringTest, AllEnginesAgreeWithPeeling) {
+  // The scorer against the naive reference (scoring_reference.h).
   const auto w = MakeTwoPathWorkload(150);
   for (int k : {1, 2, 3}) {
-    auto batched_params = PathParams(k);
-    auto tree_params = PathParams(k);
-    auto naive_params = PathParams(k);
-    batched_params.engine = defense::ScoreEngine::kBatched;
-    tree_params.engine = defense::ScoreEngine::kSegmentTree;
-    naive_params.engine = defense::ScoreEngine::kNaive;
-    const auto batched =
-        defense::JgreScoreForApp(w.calls, w.adds, batched_params);
-    const auto tree = defense::JgreScoreForApp(w.calls, w.adds, tree_params);
-    const auto naive = defense::JgreScoreForApp(w.calls, w.adds, naive_params);
-    EXPECT_EQ(batched, tree) << "k=" << k;
-    EXPECT_EQ(tree, naive) << "k=" << k;
+    EXPECT_EQ(defense::JgreScoreForApp(w.calls, w.adds, PathParams(k)),
+              scoring_reference::Score(w.calls, w.adds, PathParams(k)).score)
+        << "k=" << k;
   }
 }
 

@@ -379,7 +379,7 @@ class TokenGateService : public services::RegistryServiceBase {
       : RegistryServiceBase(
             sys, kName, "com.test.ITokenGate", host_pid, {"callbacks"},
             {services::MethodSpec{1, "mintSession",
-                                  services::MethodKind::kMintToken},
+                                  services::MethodKind::kMintToken, {}},
              services::MethodSpec{2, "registerWithToken",
                                   services::MethodKind::kRegisterGated,
                                   {services::ArgKind::kInt64,

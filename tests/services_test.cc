@@ -2,6 +2,7 @@
 // the enqueueToast flaw, helper-class guards, and registry-base semantics.
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "core/android_system.h"
 #include "services/clipboard_service.h"
 #include "services/misc_system_services.h"
@@ -317,7 +318,7 @@ TEST_F(ServicesTest, WifiManagerCapsAtMaxActiveLocks) {
   std::vector<sv::WifiManager::WifiLock> locks;
   int acquired = 0, rejected = 0;
   for (int i = 0; i < 60; ++i) {
-    auto lock = manager.CreateWifiLock("t" + std::to_string(i));
+    auto lock = manager.CreateWifiLock(StrCat("t", i));
     Status status = lock.Acquire();
     if (status.ok()) {
       ++acquired;

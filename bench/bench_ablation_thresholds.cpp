@@ -14,12 +14,13 @@
 // byte-identical for any --jobs value, and (by the divergence audit)
 // byte-identical to a --cold run that re-simulates the prefix per point.
 // --checkpoint/--resume persist the prefix image across invocations.
+#include <array>
 #include <cstdio>
 #include <vector>
 
+#include "ablation.h"
 #include "attack/benign_workload.h"
 #include "attack/vuln_registry.h"
-#include "bench_util.h"
 #include "common/log.h"
 #include "defense/jgre_defender.h"
 #include "experiment/experiment.h"
@@ -29,45 +30,35 @@
 #include "harness/json.h"
 #include "sim/device.h"
 
-using namespace jgre;
-
+namespace jgre::bench {
 namespace {
 
-harness::Json SweepReportThreshold(harness::BranchRunner& runner,
-                                   const sim::DeviceSpec& prefix) {
+constexpr std::array<std::size_t, 5> kReportThresholds = {
+    6'000u, 8'000u, 12'000u, 20'000u, 30'000u};
+constexpr std::array<std::size_t, 4> kAlarmThresholds = {1'500u, 2'500u,
+                                                         4'000u, 8'000u};
+constexpr std::array<DurationUs, 5> kDeltas = {79u, 500u, 1'800u, 3'583u,
+                                               8'000u};
+
+harness::Json PrintReportThresholdSweep(
+    const std::vector<experiment::DefendedAttackResult>& results) {
   std::printf("\n--- report-threshold sweep (attack: clipboard, alarm=4000) "
               "---\n");
   std::printf("%-18s %12s %14s %12s %10s\n", "report_threshold",
               "jgr_at_report", "response_ms", "recovered", "pairs");
-  const std::vector<std::size_t> thresholds = {6'000u, 8'000u, 12'000u,
-                                               20'000u, 30'000u};
-  const attack::VulnSpec& vuln = *attack::FindVulnerability(
-      "clipboard", "addPrimaryClipChangedListener");
-  const auto results = runner.Run<experiment::DefendedAttackResult>(
-      thresholds.size(),
-      [&](std::size_t i) {
-        sim::DeviceSpec config = prefix;
-        defense::JgreDefender::Config defender;
-        defender.monitor.report_threshold = thresholds[i];
-        config.WithAttack(vuln).WithDefenderConfig(defender);
-        return config;
-      },
-      [](std::size_t, sim::DeviceSim& device) {
-        return experiment::Experiment(device).RunDefendedAttack();
-      });
   harness::Json rows = harness::Json::Array();
-  for (std::size_t i = 0; i < thresholds.size(); ++i) {
+  for (std::size_t i = 0; i < kReportThresholds.size(); ++i) {
     const auto& result = results[i];
     const double response_ms =
         result.incident ? result.report.response_delay_us() / 1e3 : -1;
-    std::printf("%-18zu %12zu %14.1f %12s %10lld\n", thresholds[i],
+    std::printf("%-18zu %12zu %14.1f %12s %10lld\n", kReportThresholds[i],
                 result.incident ? result.report.jgr_at_report : 0, response_ms,
                 result.incident && result.report.recovered ? "yes" : "NO",
                 result.incident
                     ? static_cast<long long>(result.report.cost.pairs)
                     : 0);
     rows.Push(harness::Json::Object()
-                  .Set("report_threshold", thresholds[i])
+                  .Set("report_threshold", kReportThresholds[i])
                   .Set("jgr_at_report",
                        result.incident ? result.report.jgr_at_report : 0)
                   .Set("response_ms", response_ms)
@@ -78,23 +69,92 @@ harness::Json SweepReportThreshold(harness::BranchRunner& runner,
   return rows;
 }
 
-harness::Json SweepAlarmThresholdFalsePositives(
-    harness::BranchRunner& runner, const sim::DeviceSpec& prefix) {
+harness::Json PrintAlarmThresholdSweep(const std::vector<AlarmPoint>& results) {
   std::printf("\n--- alarm-threshold sweep under a purely benign workload "
               "(no attacker) ---\n");
   std::printf("%-16s %12s %12s\n", "alarm_threshold", "incidents",
               "apps_killed");
-  const std::vector<std::size_t> alarms = {1'500u, 2'500u, 4'000u, 8'000u};
-  struct SweepResult {
-    std::size_t incidents = 0;
-    std::size_t kills = 0;
-  };
-  const auto results = runner.Run<SweepResult>(
-      alarms.size(),
+  harness::Json rows = harness::Json::Array();
+  for (std::size_t i = 0; i < kAlarmThresholds.size(); ++i) {
+    std::printf("%-16zu %12zu %12zu %s\n", kAlarmThresholds[i],
+                results[i].incidents, results[i].kills,
+                kAlarmThresholds[i] < 2000
+                    ? "(inside the benign band: false alarms)"
+                    : "(above the benign band: quiet)");
+    rows.Push(harness::Json::Object()
+                  .Set("alarm_threshold", kAlarmThresholds[i])
+                  .Set("incidents", results[i].incidents)
+                  .Set("apps_killed", results[i].kills));
+  }
+  return rows;
+}
+
+harness::Json PrintDeltaSweep(
+    const std::vector<experiment::DefendedAttackResult>& results) {
+  std::printf("\n--- delta sweep (single attacker, 30 benign apps) ---\n");
+  std::printf("%-12s %12s %14s %12s\n", "delta_us", "malicious", "top_benign",
+              "separation");
+  harness::Json rows = harness::Json::Array();
+  for (std::size_t i = 0; i < kDeltas.size(); ++i) {
+    const auto& result = results[i];
+    long long malicious = 0, benign = 0;
+    if (result.incident) {
+      for (const auto& entry : result.report.ranking) {
+        if (entry.package == "com.evil.app") {
+          malicious = entry.score;
+        } else if (entry.score > benign) {
+          benign = entry.score;
+        }
+      }
+    }
+    const double separation =
+        benign > 0 ? static_cast<double>(malicious) / benign : 999.0;
+    std::printf("%-12llu %12lld %14lld %11.1fx\n",
+                static_cast<unsigned long long>(kDeltas[i]), malicious, benign,
+                separation);
+    rows.Push(harness::Json::Object()
+                  .Set("delta_us", kDeltas[i])
+                  .Set("malicious_score", malicious)
+                  .Set("top_benign_score", benign)
+                  .Set("separation", separation));
+  }
+  return rows;
+}
+
+experiment::DefendedAttackResult RunDefendedAttack(std::size_t,
+                                                   sim::DeviceSim& device) {
+  return experiment::Experiment(device).RunDefendedAttack();
+}
+
+}  // namespace
+
+sim::DeviceSpec AblationPrefix(std::uint64_t seed) {
+  sim::DeviceSpec prefix;
+  prefix.WithSeed(seed).WithWarmup(300, 120'000'000, 50'000);
+  return prefix;
+}
+
+AblationBranches RunAblationBranches(harness::BranchRunner& runner,
+                                     const sim::DeviceSpec& prefix) {
+  AblationBranches out;
+  const attack::VulnSpec& clipboard = *attack::FindVulnerability(
+      "clipboard", "addPrimaryClipChangedListener");
+  out.report_threshold = runner.Run<experiment::DefendedAttackResult>(
+      kReportThresholds.size(),
       [&](std::size_t i) {
         sim::DeviceSpec config = prefix;
         defense::JgreDefender::Config defender;
-        defender.monitor.alarm_threshold = alarms[i];
+        defender.monitor.report_threshold = kReportThresholds[i];
+        config.WithAttack(clipboard).WithDefenderConfig(defender);
+        return config;
+      },
+      RunDefendedAttack);
+  out.alarm = runner.Run<AlarmPoint>(
+      kAlarmThresholds.size(),
+      [&](std::size_t i) {
+        sim::DeviceSpec config = prefix;
+        defense::JgreDefender::Config defender;
+        defender.monitor.alarm_threshold = kAlarmThresholds[i];
         defender.monitor.report_threshold = 800;  // aggressive, to expose FPs
         config.WithDefenderConfig(defender);
         return config;
@@ -111,107 +171,42 @@ harness::Json SweepAlarmThresholdFalsePositives(
         attack::BenignWorkload workload(&device.system(), benign_options);
         workload.InstallAll();
         workload.RunMonkeySession();
-        SweepResult r;
-        r.incidents = device.defender()->incidents().size();
+        AlarmPoint point;
+        point.incidents = device.defender()->incidents().size();
         for (const auto& incident : device.defender()->incidents()) {
-          r.kills += incident.killed_packages.size();
+          point.kills += incident.killed_packages.size();
         }
-        return r;
+        return point;
       });
-  harness::Json rows = harness::Json::Array();
-  for (std::size_t i = 0; i < alarms.size(); ++i) {
-    std::printf("%-16zu %12zu %12zu %s\n", alarms[i], results[i].incidents,
-                results[i].kills,
-                alarms[i] < 2000 ? "(inside the benign band: false alarms)"
-                                 : "(above the benign band: quiet)");
-    rows.Push(harness::Json::Object()
-                  .Set("alarm_threshold", alarms[i])
-                  .Set("incidents", results[i].incidents)
-                  .Set("apps_killed", results[i].kills));
-  }
-  return rows;
-}
-
-harness::Json SweepDelta(harness::BranchRunner& runner,
-                         const sim::DeviceSpec& prefix) {
-  std::printf("\n--- delta sweep (single attacker, 30 benign apps) ---\n");
-  std::printf("%-12s %12s %14s %12s\n", "delta_us", "malicious", "top_benign",
-              "separation");
-  const std::vector<DurationUs> deltas = {79u, 500u, 1'800u, 3'583u, 8'000u};
-  const attack::VulnSpec& vuln =
+  const attack::VulnSpec& audio =
       *attack::FindVulnerability("audio", "startWatchingRoutes");
-  const auto results = runner.Run<experiment::DefendedAttackResult>(
-      deltas.size(),
+  out.delta = runner.Run<experiment::DefendedAttackResult>(
+      kDeltas.size(),
       [&](std::size_t i) {
         sim::DeviceSpec config = prefix;
         defense::JgreDefender::Config defender;
-        defender.scoring.delta_us = deltas[i];
-        config.WithBenignApps(30).WithAttack(vuln).WithDefenderConfig(
+        defender.scoring.delta_us = kDeltas[i];
+        config.WithBenignApps(30).WithAttack(audio).WithDefenderConfig(
             defender);
         return config;
       },
-      [](std::size_t, sim::DeviceSim& device) {
-        return experiment::Experiment(device).RunDefendedAttack();
-      });
-  harness::Json rows = harness::Json::Array();
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    const auto& result = results[i];
-    long long malicious = 0, benign = 0;
-    if (result.incident) {
-      for (const auto& entry : result.report.ranking) {
-        if (entry.package == "com.evil.app") {
-          malicious = entry.score;
-        } else if (entry.score > benign) {
-          benign = entry.score;
-        }
-      }
-    }
-    const double separation =
-        benign > 0 ? static_cast<double>(malicious) / benign : 999.0;
-    std::printf("%-12llu %12lld %14lld %11.1fx\n",
-                static_cast<unsigned long long>(deltas[i]), malicious, benign,
-                separation);
-    rows.Push(harness::Json::Object()
-                  .Set("delta_us", deltas[i])
-                  .Set("malicious_score", malicious)
-                  .Set("top_benign_score", benign)
-                  .Set("separation", separation));
-  }
-  return rows;
+      RunDefendedAttack);
+  return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "ablation_thresholds";
-  spec.default_seed = 42;
-  spec.extra_flags = harness::BranchFlags();
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
+int RunAblationThresholds(const harness::HarnessSpec& spec,
+                          const harness::HarnessOptions& opts) {
   SetLogLevel(LogLevel::kError);
 
-  bench::PrintBanner("ABLATION: THRESHOLDS & DELTA",
-                     "Sensitivity of the defense's detection knobs");
-  // The shared prefix every sweep point branches from: the full Fig-4
-  // benign warmup (top-300 apps, 2 min foreground each) on the booted
-  // device, checkpointed once. This is the expensive phase a cold sweep
-  // would re-simulate per point.
-  sim::DeviceSpec prefix;
-  prefix.WithSeed(opts.seed).WithWarmup(300, 120'000'000, 50'000);
+  // Checkpointed once: the expensive phase a cold sweep would re-simulate
+  // per point.
+  const sim::DeviceSpec prefix = AblationPrefix(opts.seed);
   harness::BranchRunner runner(prefix, harness::BranchOptionsFromHarness(opts));
-
-  // Surface a bad --resume image (or an unwritable --checkpoint path) as a
-  // CLI error instead of an uncaught exception out of the first sweep.
-  if (Status status = runner.Prepare(); !status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-    return 1;
-  }
-  harness::Json report_rows = SweepReportThreshold(runner, prefix);
-  harness::Json alarm_rows = SweepAlarmThresholdFalsePositives(runner, prefix);
-  harness::Json delta_rows = SweepDelta(runner, prefix);
+  const AblationBranches branches = RunAblationBranches(runner, prefix);
+  harness::Json report_rows =
+      PrintReportThresholdSweep(branches.report_threshold);
+  harness::Json alarm_rows = PrintAlarmThresholdSweep(branches.alarm);
+  harness::Json delta_rows = PrintDeltaSweep(branches.delta);
 
   if (opts.emit_json) {
     harness::BenchReport report(spec.name, opts);
@@ -222,3 +217,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace jgre::bench

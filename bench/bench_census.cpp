@@ -10,16 +10,13 @@
 #include <set>
 
 #include "analysis/pipeline.h"
-#include "bench_util.h"
 #include "core/android_system.h"
 #include "dynamic/verifier.h"
 #include "model/corpus.h"
 
-using namespace jgre;
+namespace jgre::bench {
 
-int main() {
-  bench::PrintBanner("CENSUS (paper §IV)",
-                     "JGRE vulnerability census of Android 6.0.1");
+int RunCensus() {
   core::AndroidSystem system;
   system.Boot();
   model::CodeModel model = model::BuildAospModel(system);
@@ -103,3 +100,5 @@ int main() {
           report.ipc_methods.services_registered);
   return 0;
 }
+
+}  // namespace jgre::bench

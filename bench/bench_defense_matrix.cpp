@@ -25,32 +25,19 @@
 #include <vector>
 
 #include "arms/matrix.h"
-#include "bench_util.h"
 #include "common/log.h"
 #include "detect/catalog.h"
 #include "harness/bench_report.h"
 #include "harness/json.h"
 
-using namespace jgre;
+namespace jgre::bench {
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "defense_matrix";
-  spec.json_name = "matrix";
-  spec.default_seed = 42;
-  spec.extra_flags = {
-      {"--small", false, "small CI matrix (2 caps, 4 attacks, 40 cells)"}};
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
+int RunDefenseMatrix(const harness::HarnessSpec& spec,
+                     const harness::HarnessOptions& opts) {
   // kNone: cells detonate runtimes in parallel and their ART death rattles
   // would interleave across workers; the matrix reports outcomes itself.
   SetLogLevel(LogLevel::kNone);
   const bool small = harness::HasFlag(opts, "--small");
-
-  bench::PrintBanner("DEFENSE-VS-ATTACK MATRIX",
-                     "Attack strategies x mitigations x operating points");
 
   arms::ArmsMatrix matrix;
   matrix.seed = opts.seed;
@@ -186,3 +173,5 @@ int main(int argc, char** argv) {
   }
   return coverage_ok && mitigated_pair && evader_hunted ? 0 : 1;
 }
+
+}  // namespace jgre::bench

@@ -23,12 +23,10 @@
 // byte-identical for any --jobs value.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/log.h"
 #include "detect/catalog.h"
 #include "detect/fuser.h"
@@ -40,24 +38,8 @@
 #include "harness/bench_report.h"
 #include "harness/json.h"
 
-using namespace jgre;
-
+namespace jgre::bench {
 namespace {
-
-bool IntFlag(const harness::HarnessOptions& opts, std::string_view name,
-             int* out) {
-  const std::string* value = harness::FlagValue(opts, name);
-  if (value == nullptr) return true;
-  char* end = nullptr;
-  const long parsed = std::strtol(value->c_str(), &end, 10);
-  if (end == value->c_str() || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr, "error: %.*s wants a non-negative integer, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), value->c_str());
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
 
 // The fleet slice of the census: one JGR cap, the three scenario profiles
 // the trace hunts exist for, defense off and on. The alarm point sits above
@@ -84,22 +66,9 @@ fleet::FleetMatrix DetectFleetMatrix(std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "detect_census";
-  spec.json_name = "detect";
-  spec.default_seed = 42;
-  spec.extra_flags = {
-      {"--budget", true, "fuzz screening executions (default 48)"},
-      {"--list-hunts", false,
-       "print each hunt id with its declared data sources and exit"}};
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
-
-  if (std::find(opts.extra.begin(), opts.extra.end(), "--list-hunts") !=
-      opts.extra.end()) {
+int RunDetectCensus(const harness::HarnessSpec& spec,
+                    const harness::HarnessOptions& opts) {
+  if (harness::HasFlag(opts, "--list-hunts")) {
     const detect::HuntRegistry battery = detect::HuntRegistry::WithDefaultHunts();
     std::printf("%-32s %-24s %s\n", "HUNT", "REQUIRES", "DESCRIPTION");
     for (const auto& hunt : battery.hunts()) {
@@ -122,10 +91,8 @@ int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kNone);
 
   int budget = 48;
-  if (!IntFlag(opts, "--budget", &budget)) return 2;
+  if (!harness::NonNegativeFlag(opts, "--budget", &budget)) return 2;
 
-  bench::PrintBanner("DETECTION CENSUS",
-                     "Hunt battery over static, fuzz, and fleet evidence");
   // --jobs deliberately not echoed: stdout is part of the determinism
   // contract and must be byte-identical for any worker count.
   std::printf("\nseed %llu, fuzz budget %d\n",
@@ -138,10 +105,6 @@ int main(int argc, char** argv) {
   campaign_options.budget = budget;
   campaign_options.seed_from_analysis = true;
   fuzz::CampaignRunner campaign(campaign_options);
-  if (Status status = campaign.Prepare(); !status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-    return 1;
-  }
   const fuzz::CampaignResult fuzz_result = campaign.Run();
 
   const detect::HuntRegistry registry = detect::HuntRegistry::WithDefaultHunts();
@@ -286,3 +249,5 @@ int main(int argc, char** argv) {
   }
   return ok ? 0 : 1;
 }
+
+}  // namespace jgre::bench

@@ -13,15 +13,13 @@
 #include <cstdio>
 
 #include "analysis/pipeline.h"
-#include "bench_util.h"
 #include "core/android_system.h"
 #include "defense/jgre_defender.h"
 #include "defense/scoring.h"
 #include "model/corpus.h"
 #include "services/safe_service.h"
 
-using namespace jgre;
-
+namespace jgre::bench {
 namespace {
 
 void FdExhaustionExperiment() {
@@ -96,10 +94,10 @@ void MultiPathExperiment() {
 
 }  // namespace
 
-int main() {
-  bench::PrintBanner("DISCUSSION EXTENSIONS (paper §VI)",
-                     "Other-resource DoS and multi-path attackers");
+int RunExtDiscussion() {
   FdExhaustionExperiment();
   MultiPathExperiment();
   return 0;
 }
+
+}  // namespace jgre::bench

@@ -14,13 +14,11 @@
 
 #include <cstdio>
 
-#include "bench_util.h"
 #include "core/android_system.h"
 #include "services/safe_service.h"
 #include "sim/device.h"
 
-using namespace jgre;
-
+namespace jgre::bench {
 namespace {
 
 constexpr std::uint64_t kSeed = 42;
@@ -39,9 +37,6 @@ DurationUs MeasureCall(core::AndroidSystem& system,
 }
 
 void RunVirtualSweep() {
-  bench::PrintBanner("FIGURE 10",
-                     "IPC latency vs payload, stock vs defense-extended "
-                     "driver (virtual time)");
   sim::DeviceSpec device_spec;
   device_spec.WithSeed(kSeed);
   auto device = sim::DeviceFactory(device_spec).CreateDevice();
@@ -84,21 +79,25 @@ void BM_TransactPayload(benchmark::State& state) {
     benchmark::DoNotOptimize(MeasureCall(system, app, kb));
   }
 }
-BENCHMARK(BM_TransactPayload)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->Args({500, 0})
-    ->Args({500, 1});
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// The arguments go to google-benchmark (--benchmark_filter=... etc.).
+int RunFig10IpcOverhead(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   RunVirtualSweep();
   std::printf("\nwall-clock cost of the simulated transaction path "
               "(args: payload_kb, defense_on):\n");
-  benchmark::Initialize(&argc, argv);
+  benchmark::RegisterBenchmark("BM_TransactPayload", BM_TransactPayload)
+      ->Args({0, 0})
+      ->Args({0, 1})
+      ->Args({256, 0})
+      ->Args({256, 1})
+      ->Args({500, 0})
+      ->Args({500, 1});
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }
+
+}  // namespace jgre::bench

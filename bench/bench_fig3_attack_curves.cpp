@@ -21,7 +21,7 @@
 
 #include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
-#include "bench_util.h"
+#include "experiment/experiment.h"
 #include "harness/bench_report.h"
 #include "harness/experiment_runner.h"
 #include "harness/json.h"
@@ -29,24 +29,33 @@
 #include "obs/metrics.h"
 #include "sim/device.h"
 
-using namespace jgre;
+namespace jgre::bench {
+namespace {
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "fig3_attack_curves";
-  spec.default_seed = 42;
-  spec.supports_trace = true;
-  spec.supports_metrics = true;
-  spec.extra_flags = {
-      {"--curves", false, "print the full per-interface CSV series"}};
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
+// Runs one defended attack against `vuln` with full tracing subscribed and
+// writes the Chrome-trace JSON timeline to `path`. Returns false if the
+// write fails. The simulation is independent of the table's runs, so the
+// emitted bytes only depend on (vuln, seed, benign_apps).
+bool WriteDefendedAttackTrace(const attack::VulnSpec& vuln,
+                              std::uint64_t seed, int benign_apps,
+                              const std::string& path) {
+  sim::DeviceSpec spec;
+  spec.WithSeed(seed)
+      .WithBenignApps(benign_apps)
+      .WithAttack(vuln)
+      .WithDefense()
+      .WithTrace();
+  auto device = sim::DeviceFactory(spec).CreateDevice();
+  (void)experiment::Experiment(*device).RunDefendedAttack();
+  return device->WriteChromeTrace(path);
+}
+
+}  // namespace
+
+int RunFig3AttackCurves(const harness::HarnessSpec& spec,
+                        const harness::HarnessOptions& opts) {
   const bool print_curves = harness::HasFlag(opts, "--curves");
 
-  bench::PrintBanner("FIGURE 3",
-                     "Misuse effectiveness of the 54 vulnerable interfaces");
   const auto vulns = attack::SystemServerVulnerabilities();
   struct TaskResult {
     attack::MaliciousApp::AttackResult result;
@@ -125,9 +134,8 @@ int main(int argc, char** argv) {
     const attack::VulnSpec* toast =
         attack::FindVulnerability("notification", "enqueueToast");
     if (toast == nullptr ||
-        !bench::WriteDefendedAttackTrace(*toast, opts.seed,
-                                         /*benign_apps=*/10,
-                                         opts.trace_path)) {
+        !WriteDefendedAttackTrace(*toast, opts.seed, /*benign_apps=*/10,
+                                  opts.trace_path)) {
       std::fprintf(stderr, "error: could not write %s\n",
                    opts.trace_path.c_str());
       return 1;
@@ -172,3 +180,5 @@ int main(int argc, char** argv) {
   }
   return succeeded == 54 ? 0 : 1;
 }
+
+}  // namespace jgre::bench

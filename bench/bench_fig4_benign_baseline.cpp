@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "attack/benign_workload.h"
-#include "bench_util.h"
 #include "common/log.h"
 #include "core/android_system.h"
 #include "harness/bench_report.h"
@@ -23,24 +22,13 @@
 #include "harness/json.h"
 #include "sim/device.h"
 
-using namespace jgre;
+namespace jgre::bench {
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "fig4_benign_baseline";
-  spec.default_seed = 42;
-  spec.extra_flags = {
-      {"--full", false, "run the paper's full 2 min foreground per app"}};
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
+int RunFig4BenignBaseline(const harness::HarnessSpec& spec,
+                          const harness::HarnessOptions& opts) {
   SetLogLevel(LogLevel::kError);
   const bool quick = !harness::HasFlag(opts, "--full");
 
-  bench::PrintBanner("FIGURE 4",
-                     "system_server JGR size and process count under the "
-                     "top-300 benign workload");
   sim::DeviceSpec device_spec;
   device_spec.WithSeed(opts.seed);
   auto device = sim::DeviceFactory(device_spec).CreateDevice();
@@ -112,3 +100,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace jgre::bench

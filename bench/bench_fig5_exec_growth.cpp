@@ -13,29 +13,18 @@
 
 #include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
-#include "bench_util.h"
 #include "common/log.h"
 #include "harness/bench_report.h"
 #include "harness/experiment_runner.h"
 #include "harness/json.h"
 #include "sim/device.h"
 
-using namespace jgre;
+namespace jgre::bench {
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "fig5_exec_growth";
-  spec.default_seed = 42;
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
+int RunFig5ExecGrowth(const harness::HarnessSpec& spec,
+                      const harness::HarnessOptions& opts) {
   SetLogLevel(LogLevel::kError);
 
-  bench::PrintBanner(
-      "FIGURE 5",
-      "Execution duration of telephony.registry.listenForSubscriber during "
-      "an attack");
   const attack::VulnSpec* vuln =
       attack::FindVulnerability("telephony.registry", "listenForSubscriber");
   sim::DeviceSpec device_spec;
@@ -76,3 +65,5 @@ int main(int argc, char** argv) {
   if (!report.Write()) return 1;
   return result.succeeded ? 0 : 1;
 }
+
+}  // namespace jgre::bench

@@ -10,26 +10,16 @@
 
 #include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
-#include "bench_util.h"
 #include "common/stats.h"
 #include "core/android_system.h"
 #include "harness/bench_report.h"
 #include "harness/experiment_runner.h"
 #include "harness/json.h"
 
-using namespace jgre;
+namespace jgre::bench {
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "fig6_exec_cdf";
-  spec.default_seed = 42;
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
-
-  bench::PrintBanner("FIGURE 6",
-                     "CDF of execution time, 54 interfaces x 1000 calls");
+int RunFig6ExecCdf(const harness::HarnessSpec& spec,
+                   const harness::HarnessOptions& opts) {
   const auto vulns = attack::SystemServerVulnerabilities();
   const auto results =
       harness::RunOrdered<attack::MaliciousApp::AttackResult>(
@@ -91,3 +81,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace jgre::bench

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "attack/vuln_registry.h"
-#include "bench_util.h"
+#include "experiment/experiment.h"
 #include "harness/bench_report.h"
 #include "harness/experiment_runner.h"
 #include "harness/json.h"
@@ -17,24 +17,12 @@
 #include "obs/metrics.h"
 #include "sim/device.h"
 
-using namespace jgre;
+namespace jgre::bench {
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "fig8_single_attacker";
-  spec.default_seed = 42;
-  spec.supports_metrics = true;
-  spec.extra_flags = {
-      {"--quick", false, "20 benign apps instead of the paper's 100"}};
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
+int RunFig8SingleAttacker(const harness::HarnessSpec& spec,
+                          const harness::HarnessOptions& opts) {
   const bool quick = harness::HasFlag(opts, "--quick");
 
-  bench::PrintBanner("FIGURE 8",
-                     "Suspicious IPC calls: malicious vs top benign app "
-                     "(delta = 1.8 ms)");
   const auto vulns = attack::SystemServerVulnerabilities();
   defense::JgreDefender::Config defender_config;
   defender_config.scoring.delta_us = 1800;
@@ -111,3 +99,5 @@ int main(int argc, char** argv) {
   }
   return detected == 54 ? 0 : 1;
 }
+
+}  // namespace jgre::bench

@@ -15,7 +15,6 @@
 #include "attack/benign_workload.h"
 #include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
-#include "bench_util.h"
 #include "common/rng.h"
 #include "harness/bench_report.h"
 #include "harness/experiment_runner.h"
@@ -23,22 +22,10 @@
 #include "harness/obs_json.h"
 #include "sim/device.h"
 
-using namespace jgre;
+namespace jgre::bench {
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "fig9_colluding";
-  spec.default_seed = 42;
-  spec.supports_trace = true;
-  spec.supports_metrics = true;
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
-
-  bench::PrintBanner("FIGURE 9",
-                     "Colluding attackers: suspicious IPC calls by top-5 apps "
-                     "for three deltas");
+int RunFig9Colluding(const harness::HarnessSpec& spec,
+                     const harness::HarnessOptions& opts) {
   // High report threshold: gather data without triggering recovery so the
   // same recording can be scored under all three Δ values.
   defense::JgreDefender::Config defender_config;
@@ -148,3 +135,5 @@ int main(int argc, char** argv) {
   }
   return all_separated ? 0 : 1;
 }
+
+}  // namespace jgre::bench

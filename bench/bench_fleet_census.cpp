@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/log.h"
 #include "fleet/runner.h"
 #include "fleet/spec.h"
@@ -27,27 +26,15 @@
 #include "harness/experiment_runner.h"
 #include "harness/json.h"
 
-using namespace jgre;
+namespace jgre::bench {
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "fleet_census";
-  spec.json_name = "fleet";
-  spec.default_seed = 42;
-  spec.extra_flags = {
-      {"--small", false, "small CI matrix (2 caps, 3 scenarios, 24 devices)"}};
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
+int RunFleetCensus(const harness::HarnessSpec& spec,
+                   const harness::HarnessOptions& opts) {
   // kNone, not kError: hundreds of devices detonate in parallel, and their
   // ART "JNI ERROR" death rattles would interleave across workers. The
   // census itself reports the exhaustions deterministically.
   SetLogLevel(LogLevel::kNone);
   const bool small = harness::HasFlag(opts, "--small");
-
-  bench::PrintBanner("FLEET CENSUS",
-                     "Heterogeneous device fleet from warmed boot images");
 
   fleet::FleetMatrix matrix;
   matrix.seed = opts.seed;
@@ -73,10 +60,6 @@ int main(int argc, char** argv) {
   options.jobs = opts.jobs;
   options.max_images = 4;
   fleet::FleetRunner runner(std::move(fleet_specs), options);
-  if (Status status = runner.Prepare(); !status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-    return 1;
-  }
   const fleet::FleetResult result = runner.Run();
 
   std::printf("\nfleet: %zu devices from %zu warmed boot images "
@@ -134,3 +117,5 @@ int main(int argc, char** argv) {
   }
   return enough_devices && result.image_count <= 4 ? 0 : 1;
 }
+
+}  // namespace jgre::bench

@@ -14,12 +14,10 @@
 // and consistency blocks of BENCH_fuzz.json are byte-identical across runs
 // and across --jobs, which CI asserts with scripts/validate_fuzz_findings.py.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "analysis/pipeline.h"
-#include "bench_util.h"
 #include "common/log.h"
 #include "dynamic/verifier.h"
 #include "fuzz/campaign.h"
@@ -28,41 +26,8 @@
 #include "harness/experiment_runner.h"
 #include "harness/json.h"
 
-using namespace jgre;
-
+namespace jgre::bench {
 namespace {
-
-// Strict numeric parsing, matching the shared CLI's contract: a malformed
-// value is a usage error (exit 2), never a silent zero.
-bool IntFlag(const harness::HarnessOptions& opts, std::string_view name,
-             int* out) {
-  const std::string* value = harness::FlagValue(opts, name);
-  if (value == nullptr) return true;
-  char* end = nullptr;
-  const long parsed = std::strtol(value->c_str(), &end, 10);
-  if (end == value->c_str() || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr, "error: %.*s wants a non-negative integer, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), value->c_str());
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool DoubleFlag(const harness::HarnessOptions& opts, std::string_view name,
-                double* out) {
-  const std::string* value = harness::FlagValue(opts, name);
-  if (value == nullptr) return true;
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr, "error: %.*s wants a non-negative number, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), value->c_str());
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
 
 harness::Json StringArray(const std::vector<std::string>& values) {
   harness::Json arr = harness::Json::Array();
@@ -72,39 +37,21 @@ harness::Json StringArray(const std::vector<std::string>& values) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "fuzz";
-  spec.default_seed = 42;
-  spec.extra_flags = harness::BranchFlags();
-  spec.extra_flags.push_back(
-      {"--budget", true, "screening executions across all rounds (default 240)"});
-  spec.extra_flags.push_back(
-      {"--min-refound", true,
-       "fail unless >= N census interfaces are re-found (default 10)"});
-  spec.extra_flags.push_back(
-      {"--min-speedup", true,
-       "fail unless warm/cold exec throughput ratio >= X (default 3.0)"});
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
+int RunFuzzCampaign(const harness::HarnessSpec& spec,
+                    const harness::HarnessOptions& opts) {
   SetLogLevel(LogLevel::kError);
 
   int budget = 240;
   int min_refound = 10;
   double min_speedup = 3.0;
-  if (!IntFlag(opts, "--budget", &budget) ||
-      !IntFlag(opts, "--min-refound", &min_refound) ||
-      !DoubleFlag(opts, "--min-speedup", &min_speedup)) {
+  if (!harness::NonNegativeFlag(opts, "--budget", &budget) ||
+      !harness::NonNegativeFlag(opts, "--min-refound", &min_refound) ||
+      !harness::NonNegativeFlag(opts, "--min-speedup", &min_speedup)) {
     return 2;
   }
   const harness::BranchOptions branch =
       harness::BranchOptionsFromHarness(opts);
 
-  bench::PrintBanner("FUZZ CAMPAIGN",
-                     "Coverage-guided binder IPC fuzzing with "
-                     "snapshot-based resets");
   std::printf("\nseed %llu, budget %d, jobs %d%s\n",
               static_cast<unsigned long long>(opts.seed), budget, opts.jobs,
               branch.cold ? " (cold: no snapshot resets)" : "");
@@ -118,10 +65,6 @@ int main(int argc, char** argv) {
   campaign_options.resume_path = branch.resume_path;
   campaign_options.seed_from_analysis = true;
   fuzz::CampaignRunner runner(campaign_options);
-  if (Status status = runner.Prepare(); !status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-    return 1;
-  }
   const fuzz::CampaignResult result = runner.Run();
 
   std::printf("\ncampaign: %d seed + %d screen + %d confirm + %d minimize = "
@@ -276,3 +219,5 @@ int main(int argc, char** argv) {
   }
   return ok ? 0 : 1;
 }
+
+}  // namespace jgre::bench

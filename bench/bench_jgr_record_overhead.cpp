@@ -6,12 +6,10 @@
 
 #include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
-#include "bench_util.h"
 #include "core/android_system.h"
 #include "defense/jgre_defender.h"
 
-using namespace jgre;
-
+namespace jgre::bench {
 namespace {
 
 // Mean virtual latency of `calls` attack IPC calls starting from the current
@@ -58,10 +56,7 @@ double Run(bool with_monitor, double* below_out, double* above_out) {
 
 }  // namespace
 
-int main() {
-  bench::PrintBanner("JGR RECORD OVERHEAD (paper §V.D.2)",
-                     "Per-operation cost of the extended runtime's JGR "
-                     "recording");
+int RunJgrRecordOverhead() {
   double below_off, above_off, below_on, above_on;
   Run(false, &below_off, &above_off);
   Run(true, &below_on, &above_on);
@@ -84,3 +79,5 @@ int main() {
               recording_cost / 2.0);
   return 0;
 }
+
+}  // namespace jgre::bench

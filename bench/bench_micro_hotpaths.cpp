@@ -42,8 +42,7 @@
 #include "runtime/runtime.h"
 #include "services/safe_service.h"
 
-using namespace jgre;
-
+namespace jgre::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -314,19 +313,8 @@ void Scoring(std::vector<PathResult>* results, harness::Json* sections) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "micro_hotpaths";
-  spec.json_name = "perf";
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
-
-  std::printf("\n================================================================\n");
-  std::printf("MICRO HOTPATHS — wall-clock cost of the simulation core\n");
-  std::printf("================================================================\n");
-
+int RunMicroHotpaths(const harness::HarnessSpec& spec,
+                     const harness::HarnessOptions& opts) {
   std::vector<PathResult> results;
   harness::Json sections = harness::Json::Object();
   IrtChurn(&results, &sections);
@@ -371,3 +359,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace jgre::bench

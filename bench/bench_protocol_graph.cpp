@@ -16,14 +16,12 @@
 // the marker CI's byte-compare keys on), so no wall-clock numbers are
 // emitted.
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/pipeline.h"
 #include "analysis/protocol/protocol_graph.h"
-#include "bench_util.h"
 #include "common/log.h"
 #include "detect/hunt.h"
 #include "detect/hunts.h"
@@ -34,24 +32,8 @@
 #include "harness/experiment_runner.h"
 #include "harness/json.h"
 
-using namespace jgre;
-
+namespace jgre::bench {
 namespace {
-
-bool IntFlag(const harness::HarnessOptions& opts, std::string_view name,
-             int* out) {
-  const std::string* value = harness::FlagValue(opts, name);
-  if (value == nullptr) return true;
-  char* end = nullptr;
-  const long parsed = std::strtol(value->c_str(), &end, 10);
-  if (end == value->c_str() || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr, "error: %.*s wants a non-negative integer, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), value->c_str());
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
 
 std::string ChainPath(const analysis::protocol::ProtocolChain& chain,
                       const analysis::AnalysisReport& report) {
@@ -71,34 +53,18 @@ harness::Json StringArray(const std::vector<std::string>& values) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "protocol";
-  spec.default_seed = 42;
-  spec.extra_flags = harness::BranchFlags();
-  spec.extra_flags.push_back(
-      {"--budget", true, "screening executions per campaign (default 240)"});
-  spec.extra_flags.push_back(
-      {"--min-refound", true,
-       "fail unless the protocol-seeded campaign re-finds >= N census "
-       "interfaces (default 54)"});
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
+int RunProtocolGraph(const harness::HarnessSpec& spec,
+                     const harness::HarnessOptions& opts) {
   SetLogLevel(LogLevel::kError);
 
   int budget = 240;
   int min_refound = 54;
-  if (!IntFlag(opts, "--budget", &budget) ||
-      !IntFlag(opts, "--min-refound", &min_refound)) {
+  if (!harness::NonNegativeFlag(opts, "--budget", &budget) ||
+      !harness::NonNegativeFlag(opts, "--min-refound", &min_refound)) {
     return 2;
   }
   const harness::BranchOptions branch = harness::BranchOptionsFromHarness(opts);
 
-  bench::PrintBanner("PROTOCOL DATAFLOW GRAPH",
-                     "Cross-transaction retention chains and "
-                     "dependency-aware fuzzing");
   // --jobs deliberately not echoed: stdout is part of the determinism
   // contract and must be byte-identical for any worker count.
   std::printf("\nseed %llu, budget %d\n",
@@ -314,3 +280,5 @@ int main(int argc, char** argv) {
   }
   return ok ? 0 : 1;
 }
+
+}  // namespace jgre::bench

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "attack/vuln_registry.h"
-#include "bench_util.h"
 #include "common/log.h"
+#include "experiment/experiment.h"
 #include "harness/bench_report.h"
 #include "harness/branch_runner.h"
 #include "harness/experiment_runner.h"
@@ -30,22 +30,12 @@
 #include "obs/metrics.h"
 #include "sim/device.h"
 
-using namespace jgre;
+namespace jgre::bench {
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "response_delay";
-  spec.default_seed = 7;
-  spec.supports_metrics = true;
-  spec.extra_flags = harness::BranchFlags();
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
+int RunResponseDelay(const harness::HarnessSpec& spec,
+                     const harness::HarnessOptions& opts) {
   SetLogLevel(LogLevel::kError);
 
-  bench::PrintBanner("RESPONSE DELAY (paper §V.D.1)",
-                     "Attack-source identification latency per vulnerability");
   const auto vulns = attack::AllVulnerabilities();
   struct TaskResult {
     experiment::DefendedAttackResult result;
@@ -55,12 +45,6 @@ int main(int argc, char** argv) {
   prefix.WithSeed(opts.seed).WithWarmup(40, 6'000'000);
   harness::BranchRunner runner(prefix, harness::BranchOptionsFromHarness(opts));
 
-  // Surface a bad --resume image (or an unwritable --checkpoint path) as a
-  // CLI error instead of an uncaught exception out of the first sweep.
-  if (Status status = runner.Prepare(); !status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-    return 1;
-  }
   const auto results = runner.Run<TaskResult>(
       vulns.size(),
       [&](std::size_t i) {
@@ -140,3 +124,5 @@ int main(int argc, char** argv) {
   }
   return defended == total ? 0 : 1;
 }
+
+}  // namespace jgre::bench

@@ -7,22 +7,18 @@
 //     prefix per point (the figure of merit: warm mode amortizes one prefix
 //     across every branch, so the sweep should run several times faster).
 //
-// The sweep replicates bench_ablation_thresholds' branch configurations
-// exactly (report-threshold, alarm-false-positive, and delta sweeps) so the
-// recorded speedup is the speedup of that bench. --checkpoint/--resume are
+// The sweep runs ablation_thresholds' own 14 branches (RunAblationBranches:
+// report-threshold, alarm-false-positive, and delta sweeps) so the recorded
+// speedup is the speedup of that bench. --checkpoint/--resume are
 // honored for the warm runner, so CI can exercise the file round-trip here.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
-#include "attack/benign_workload.h"
-#include "attack/vuln_registry.h"
-#include "bench_util.h"
+#include "ablation.h"
 #include "common/log.h"
 #include "core/android_system.h"
-#include "defense/jgre_defender.h"
-#include "experiment/experiment.h"
 #include "harness/bench_report.h"
 #include "harness/branch_runner.h"
 #include "harness/experiment_runner.h"
@@ -30,8 +26,7 @@
 #include "sim/device.h"
 #include "snapshot/snapshot.h"
 
-using namespace jgre;
-
+namespace jgre::bench {
 namespace {
 
 using WallClock = std::chrono::steady_clock;
@@ -46,10 +41,9 @@ double MedianMs(std::vector<double> samples) {
   return samples[samples.size() / 2];
 }
 
-// Per-mode tally over the 14 branch configurations of
-// bench_ablation_thresholds: a warm (restored) sweep must reproduce the
-// cold sweep's results exactly, so the whole tally is compared, not just
-// the incident count.
+// Per-mode tally over the ablation's 14 branches: a warm (restored) sweep
+// must reproduce the cold sweep's results exactly, so the whole tally is
+// compared, not just the incident count.
 struct SweepTally {
   int incidents = 0;
   long long attacker_calls = 0;
@@ -57,97 +51,28 @@ struct SweepTally {
   bool operator==(const SweepTally&) const = default;
 };
 
-// Runs the 14 branch configurations of bench_ablation_thresholds on
-// `runner` and tallies what the branches simulated.
-SweepTally RunAblationBranches(harness::BranchRunner& runner,
-                               const sim::DeviceSpec& prefix) {
+SweepTally Tally(const AblationBranches& branches) {
   SweepTally tally;
-  const auto tally_attack = [&tally](
-                                const std::vector<
-                                    experiment::DefendedAttackResult>& runs) {
-    for (const auto& result : runs) {
+  for (const auto* sweep : {&branches.report_threshold, &branches.delta}) {
+    for (const experiment::DefendedAttackResult& result : *sweep) {
       tally.incidents += result.incident ? 1 : 0;
       tally.attacker_calls += result.attacker_calls;
       tally.virtual_us += result.virtual_duration_us;
     }
-  };
-  const attack::VulnSpec& clipboard = *attack::FindVulnerability(
-      "clipboard", "addPrimaryClipChangedListener");
-  const std::vector<std::size_t> thresholds = {6'000u, 8'000u, 12'000u,
-                                               20'000u, 30'000u};
-  tally_attack(runner.Run<experiment::DefendedAttackResult>(
-      thresholds.size(),
-      [&](std::size_t i) {
-        sim::DeviceSpec config = prefix;
-        defense::JgreDefender::Config defender;
-        defender.monitor.report_threshold = thresholds[i];
-        config.WithAttack(clipboard).WithDefenderConfig(defender);
-        return config;
-      },
-      [](std::size_t, sim::DeviceSim& device) {
-        return experiment::Experiment(device).RunDefendedAttack();
-      }));
-  const std::vector<std::size_t> alarms = {1'500u, 2'500u, 4'000u, 8'000u};
-  for (int v : runner.Run<int>(
-           alarms.size(),
-           [&](std::size_t i) {
-             sim::DeviceSpec config = prefix;
-             defense::JgreDefender::Config defender;
-             defender.monitor.alarm_threshold = alarms[i];
-             defender.monitor.report_threshold = 800;
-             config.WithDefenderConfig(defender);
-             return config;
-           },
-           [&](std::size_t, sim::DeviceSim& device) {
-             attack::BenignWorkload::Options benign_options;
-             benign_options.app_count = 60;
-             benign_options.per_app_foreground_us = 12'000'000;
-             benign_options.interaction_period_us = 50'000;
-             benign_options.seed = prefix.seed() + 1;
-             attack::BenignWorkload workload(&device.system(), benign_options);
-             workload.InstallAll();
-             workload.RunMonkeySession();
-             return static_cast<int>(device.defender()->incidents().size());
-           })) {
-    tally.incidents += v;
   }
-  const std::vector<DurationUs> deltas = {79u, 500u, 1'800u, 3'583u, 8'000u};
-  const attack::VulnSpec& audio =
-      *attack::FindVulnerability("audio", "startWatchingRoutes");
-  tally_attack(runner.Run<experiment::DefendedAttackResult>(
-      deltas.size(),
-      [&](std::size_t i) {
-        sim::DeviceSpec config = prefix;
-        defense::JgreDefender::Config defender;
-        defender.scoring.delta_us = deltas[i];
-        config.WithBenignApps(30).WithAttack(audio).WithDefenderConfig(
-            defender);
-        return config;
-      },
-      [](std::size_t, sim::DeviceSim& device) {
-        return experiment::Experiment(device).RunDefendedAttack();
-      }));
+  for (const AlarmPoint& point : branches.alarm) {
+    tally.incidents += static_cast<int>(point.incidents);
+  }
   return tally;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "snapshot";
-  spec.default_seed = 42;
-  spec.extra_flags = harness::BranchFlags();
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
+int RunSnapshot(const harness::HarnessSpec& spec,
+                const harness::HarnessOptions& opts) {
   SetLogLevel(LogLevel::kError);
 
-  bench::PrintBanner("SNAPSHOT",
-                     "Checkpoint size, save/restore latency, and the "
-                     "BranchRunner sweep speedup");
-  sim::DeviceSpec prefix;
-  prefix.WithSeed(opts.seed).WithWarmup(300, 120'000'000, 50'000);
+  const sim::DeviceSpec prefix = AblationPrefix(opts.seed);
 
   // --- capture/restore latency on the standard prefix ---
   auto prefix_start = WallClock::now();
@@ -172,16 +97,9 @@ int main(int argc, char** argv) {
   std::vector<double> restore_samples;
   for (int i = 0; i < kReps; ++i) {
     auto start = WallClock::now();
-    core::SystemConfig sys_config = prefix.system_config();
-    sys_config.seed = prefix.seed();
-    core::AndroidSystem restored(sys_config);
-    restored.Boot();
-    Status status = snapshot->RestoreInto(&restored);
+    const std::unique_ptr<core::AndroidSystem> restored =
+        sim::RestorePrefix(prefix, *snapshot, "snapshot bench");
     restore_samples.push_back(MsSince(start));
-    if (!status.ok()) {
-      std::fprintf(stderr, "restore failed: %s\n", status.ToString().c_str());
-      return 1;
-    }
   }
   const double capture_ms = MedianMs(capture_samples);
   const double restore_ms = MedianMs(restore_samples);
@@ -205,20 +123,16 @@ int main(int argc, char** argv) {
 
   harness::BranchRunner warm_runner(prefix, warm_options);
   auto warm_start = WallClock::now();
-  // The timed region includes the warm prefix build + capture (Prepare):
-  // the speedup is end-to-end, not just the branch phase. Prepare here also
-  // surfaces a bad --resume image as a CLI error rather than an uncaught
-  // exception out of the first sweep.
-  if (Status status = warm_runner.Prepare(); !status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-    return 1;
-  }
-  const SweepTally warm_tally = RunAblationBranches(warm_runner, prefix);
+  // The timed region includes the warm prefix build + capture (the first
+  // sweep's Prepare): the speedup is end-to-end, not just the branch phase.
+  const SweepTally warm_tally =
+      Tally(RunAblationBranches(warm_runner, prefix));
   const double warm_ms = MsSince(warm_start);
 
   harness::BranchRunner cold_runner(prefix, cold_options);
   auto cold_start = WallClock::now();
-  const SweepTally cold_tally = RunAblationBranches(cold_runner, prefix);
+  const SweepTally cold_tally =
+      Tally(RunAblationBranches(cold_runner, prefix));
   const double cold_ms = MsSince(cold_start);
 
   const double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0;
@@ -265,3 +179,5 @@ int main(int argc, char** argv) {
   }
   return speedup >= 3.0 ? 0 : 1;
 }
+
+}  // namespace jgre::bench

@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -25,7 +24,6 @@
 
 #include "analysis/pipeline.h"
 #include "attack/vuln_registry.h"
-#include "bench_util.h"
 #include "common/log.h"
 #include "core/android_system.h"
 #include "harness/bench_report.h"
@@ -33,24 +31,8 @@
 #include "harness/json.h"
 #include "model/corpus.h"
 
-using namespace jgre;
-
+namespace jgre::bench {
 namespace {
-
-bool DoubleFlag(const harness::HarnessOptions& opts, std::string_view name,
-                double* out) {
-  const std::string* value = harness::FlagValue(opts, name);
-  if (value == nullptr) return true;
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr, "error: %.*s wants a non-negative number, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), value->c_str());
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
 
 std::string_view ProtectionName(analysis::ProtectionClass protection) {
   switch (protection) {
@@ -78,35 +60,16 @@ harness::Json WitnessJson(const analysis::taint::WitnessPath& witness) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  harness::HarnessSpec spec;
-  spec.name = "analysis";
-  spec.default_seed = 42;
-  spec.extra_flags.push_back(
-      {"--analysis-json", true,
-       "also write the full per-interface witness report to PATH"});
-  spec.extra_flags.push_back(
-      {"--min-precision", true,
-       "fail unless candidate precision vs the census >= X (default 0.9)"});
-  spec.extra_flags.push_back(
-      {"--min-recall", true,
-       "fail unless candidate recall vs the census >= X (default 1.0)"});
-  const harness::HarnessOptions opts =
-      harness::ParseHarnessOptions(spec, argc, argv);
-  if (opts.help) return 0;
-  if (!opts.error.empty()) return 2;
+int RunStaticAnalysis(const harness::HarnessSpec& spec,
+                      const harness::HarnessOptions& opts) {
   SetLogLevel(LogLevel::kError);
 
   double min_precision = 0.9;
   double min_recall = 1.0;
-  if (!DoubleFlag(opts, "--min-precision", &min_precision) ||
-      !DoubleFlag(opts, "--min-recall", &min_recall)) {
+  if (!harness::NonNegativeFlag(opts, "--min-precision", &min_precision) ||
+      !harness::NonNegativeFlag(opts, "--min-recall", &min_recall)) {
     return 2;
   }
-
-  bench::PrintBanner("STATIC ANALYSIS",
-                     "Summary-based interprocedural taint engine with "
-                     "witness paths");
 
   core::AndroidSystem system;
   system.Boot();
@@ -278,3 +241,5 @@ int main(int argc, char** argv) {
   }
   return ok ? 0 : 1;
 }
+
+}  // namespace jgre::bench

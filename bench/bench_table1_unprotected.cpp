@@ -5,15 +5,13 @@
 #include <map>
 
 #include "analysis/pipeline.h"
-#include "bench_util.h"
 #include "core/android_system.h"
 #include "dynamic/verifier.h"
 #include "model/corpus.h"
 
-using namespace jgre;
+namespace jgre::bench {
 
-int main() {
-  bench::PrintBanner("TABLE I", "Unprotected vulnerable IPC interfaces");
+int RunTable1Unprotected() {
   core::AndroidSystem system;
   system.Boot();
   model::CodeModel model = model::BuildAospModel(system);
@@ -64,3 +62,5 @@ int main() {
               none, normal, dangerous);
   return 0;
 }
+
+}  // namespace jgre::bench

@@ -11,12 +11,10 @@
 
 #include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
-#include "bench_util.h"
 #include "core/android_system.h"
 #include "services/service_helpers.h"
 
-using namespace jgre;
-
+namespace jgre::bench {
 namespace {
 
 constexpr int kOperations = 300;
@@ -90,10 +88,7 @@ long DirectPathGrowth(const attack::VulnSpec& vuln) {
 
 }  // namespace
 
-int main() {
-  bench::PrintBanner(
-      "TABLE II",
-      "Vulnerable IPC interfaces 'protected' by service helper classes");
+int RunTable2HelperBypass() {
   std::printf("\n%d operations per path; retained JGR growth in "
               "system_server after GC\n\n",
               kOperations);
@@ -118,3 +113,5 @@ int main() {
               bypassed);
   return 0;
 }
+
+}  // namespace jgre::bench

@@ -5,13 +5,11 @@
 // spoof of Code-Snippet 3.
 #include <cstdio>
 
-#include "bench_util.h"
 #include "core/android_system.h"
 #include "services/notification_service.h"
 #include "services/ui_services.h"
 
-using namespace jgre;
-
+namespace jgre::bench {
 namespace {
 
 constexpr int kCalls = 2000;
@@ -55,9 +53,7 @@ void Row(const char* service, const char* iface, const ProbeResult& result,
 
 }  // namespace
 
-int main() {
-  bench::PrintBanner("TABLE III",
-                     "IPC interfaces protected by per-process constraints");
+int RunTable3PerProcess() {
   std::printf("\n%d calls with a fresh Binder each; JGR growth after GC\n\n",
               kCalls);
   std::printf("%-14s %-40s %10s %10s  %s\n", "Service", "Interface",
@@ -112,3 +108,5 @@ int main() {
       "and enqueues without limit (§IV.C.2).\n");
   return 0;
 }
+
+}  // namespace jgre::bench

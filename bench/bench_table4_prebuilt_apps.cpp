@@ -6,13 +6,11 @@
 
 #include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
-#include "bench_util.h"
 #include "core/android_system.h"
 
-using namespace jgre;
+namespace jgre::bench {
 
-int main() {
-  bench::PrintBanner("TABLE IV", "Vulnerable prebuilt core apps");
+int RunTable4PrebuiltApps() {
   std::printf("\n%-24s %-38s %10s %12s %12s %s\n", "App", "Interface",
               "calls", "app aborted", "soft reboot", "duration");
   for (const attack::VulnSpec& vuln : attack::AllVulnerabilities()) {
@@ -36,3 +34,5 @@ int main() {
               "(incl. Google TTS, §IV.D).\n");
   return 0;
 }
+
+}  // namespace jgre::bench

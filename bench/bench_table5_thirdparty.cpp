@@ -6,14 +6,12 @@
 #include <set>
 
 #include "analysis/pipeline.h"
-#include "bench_util.h"
 #include "dynamic/verifier.h"
 #include "model/corpus.h"
 
-using namespace jgre;
+namespace jgre::bench {
 
-int main() {
-  bench::PrintBanner("TABLE V", "Vulnerable third-party apps (market scan)");
+int RunTable5Thirdparty() {
   model::MarketOptions options;
   model::CodeModel market = model::BuildMarketModel(options);
   analysis::AnalysisReport report = analysis::RunAnalysis(market);
@@ -50,3 +48,5 @@ int main() {
               vulnerable);
   return 0;
 }
+
+}  // namespace jgre::bench

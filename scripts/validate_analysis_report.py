@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validate the per-interface witness report written by
-bench_static_analysis --analysis-json.
+`jgre_bench static_analysis` --analysis-json.
 
 Usage:
   validate_analysis_report.py report.json

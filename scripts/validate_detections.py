@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate BENCH_detect.json emitted by bench_detect_census.
+"""Validate BENCH_detect.json emitted by `jgre_bench detect_census`.
 
 Usage:
   validate_detections.py BENCH_detect.json [--min-multi-modal N]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a BENCH_fleet.json census from bench_fleet_census.
+"""Validate a BENCH_fleet.json census from `jgre_bench fleet_census`.
 
 Usage:
   validate_fleet_census.py BENCH_fleet.json [--min-devices N] [--max-images N]

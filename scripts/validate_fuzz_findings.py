@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate BENCH_fuzz.json emitted by bench_fuzz_campaign.
+"""Validate BENCH_fuzz.json emitted by `jgre_bench fuzz_campaign`.
 
 Usage:
   validate_fuzz_findings.py BENCH_fuzz.json [--min-refound N]

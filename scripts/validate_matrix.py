@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a BENCH_matrix.json arms-race grid from bench_defense_matrix.
+"""Validate a BENCH_matrix.json arms-race grid from `jgre_bench defense_matrix`.
 
 Usage:
   validate_matrix.py BENCH_matrix.json [--min-attacks N] [--min-defenses N]

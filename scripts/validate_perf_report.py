@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a BENCH_perf.json report from bench_micro_hotpaths.
+"""Validate a BENCH_perf.json report from `jgre_bench micro_hotpaths`.
 
 Usage:
   validate_perf_report.py BENCH_perf.json [--floor bench/perf_floor.json]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate BENCH_protocol.json emitted by bench_protocol_graph.
+"""Validate BENCH_protocol.json emitted by `jgre_bench protocol_graph`.
 
 Usage:
   validate_protocol_graph.py BENCH_protocol.json [--min-refound N]

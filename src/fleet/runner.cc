@@ -180,17 +180,8 @@ std::unique_ptr<core::AndroidSystem> FleetRunner::RestoreDevice(
                                     "): boot image build failed: ",
                                     image.status().ToString()));
   }
-  core::SystemConfig sys_config = spec.system_config();
-  sys_config.seed = spec.seed();
-  auto system = std::make_unique<core::AndroidSystem>(sys_config);
-  system->Boot();
-  Status restored = image.value()->RestoreInto(system.get());
-  if (!restored.ok()) {
-    throw std::runtime_error(StrCat("FleetRunner (device ", index,
-                                    "): restore failed: ",
-                                    restored.ToString()));
-  }
-  return system;
+  return sim::RestorePrefix(spec, *image.value(),
+                            StrCat("FleetRunner (device ", index, ")"));
 }
 
 FleetResult FleetRunner::Run() {

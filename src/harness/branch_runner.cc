@@ -5,12 +5,14 @@
 
 namespace jgre::harness {
 
-std::vector<HarnessFlag> BranchFlags() {
-  return {
-      {"--cold", false, "re-simulate the shared prefix per branch"},
-      {"--checkpoint", true, "write the prefix checkpoint (+ manifest) here"},
-      {"--resume", true, "load the prefix checkpoint instead of building it"},
-  };
+std::vector<HarnessFlag> BranchFlags(std::vector<HarnessFlag> extra) {
+  extra.insert(
+      extra.begin(),
+      {{"--cold", false, "re-simulate the shared prefix per branch"},
+       {"--checkpoint", true, "write the prefix checkpoint (+ manifest) here"},
+       {"--resume", true,
+        "load the prefix checkpoint instead of building it"}});
+  return extra;
 }
 
 BranchOptions BranchOptionsFromHarness(const HarnessOptions& options) {
@@ -56,26 +58,14 @@ Status BranchRunner::Prepare() {
 
 std::unique_ptr<core::AndroidSystem> BranchRunner::RestoreBranchSystem(
     std::optional<std::size_t> branch_index) const {
-  const std::string shard = branch_index.has_value()
-                                ? StrCat(" (shard ", *branch_index, ")")
-                                : std::string();
+  const std::string context =
+      branch_index.has_value()
+          ? StrCat("BranchRunner (shard ", *branch_index, ")")
+          : std::string("BranchRunner");
   if (!snapshot_.has_value()) {
-    throw std::runtime_error(
-        StrCat("BranchRunner", shard, ": Prepare() has not captured"));
+    throw std::runtime_error(StrCat(context, ": Prepare() has not captured"));
   }
-  core::SystemConfig sys_config = prefix_.system_config();
-  sys_config.seed = prefix_.seed();
-  auto system = std::make_unique<core::AndroidSystem>(sys_config);
-  system->Boot();
-  Status restored = snapshot_->RestoreInto(system.get());
-  if (!restored.ok()) {
-    // RestoreInto already cites the snapshot source (manifest path or
-    // in-memory identity); prepend which shard hit it.
-    throw std::runtime_error(
-        StrCat("BranchRunner", shard,
-               ": restore failed: ", restored.ToString()));
-  }
-  return system;
+  return sim::RestorePrefix(prefix_, *snapshot_, context);
 }
 
 }  // namespace jgre::harness

@@ -40,8 +40,9 @@ struct BranchOptions {
   std::string resume_path;      // load the checkpoint instead of building
 };
 
-// The three branch flags, ready to splice into HarnessSpec::extra_flags.
-std::vector<HarnessFlag> BranchFlags();
+// The three branch flags followed by `extra`, ready for
+// HarnessSpec::extra_flags.
+std::vector<HarnessFlag> BranchFlags(std::vector<HarnessFlag> extra = {});
 
 // Extracts jobs/--cold/--checkpoint/--resume from parsed harness options.
 BranchOptions BranchOptionsFromHarness(const HarnessOptions& options);
@@ -90,11 +91,11 @@ class BranchRunner {
   }
   const BranchOptions& options() const { return options_; }
 
-  // A fresh system restored from the shared checkpoint image. Exposed for
-  // the divergence audit, the snapshot bench, and the fuzz campaign's
-  // snapshot-reset loop; Run uses it per branch. A restore failure throws
-  // with the failing shard/branch index (when given) and the checkpoint's
-  // manifest path, so a corrupt image is attributable mid-campaign.
+  // A fresh system restored from the shared checkpoint image through
+  // sim::RestorePrefix. Exposed for the fuzz campaign's snapshot-reset loop;
+  // Run uses it per branch. A restore failure throws with the failing
+  // shard/branch index (when given) and the checkpoint's manifest path, so a
+  // corrupt image is attributable mid-campaign.
   std::unique_ptr<core::AndroidSystem> RestoreBranchSystem(
       std::optional<std::size_t> branch_index = std::nullopt) const;
 

@@ -10,8 +10,9 @@
 namespace jgre::harness {
 namespace {
 
-void PrintUsage(const HarnessSpec& spec, std::ostream& out) {
-  out << "usage: bench_" << spec.name << " [options]\n"
+void PrintUsage(const HarnessSpec& spec, std::string_view command,
+                std::ostream& out) {
+  out << "usage: " << command << " [options]\n"
       << "  --jobs N     run N simulations concurrently (0 = all cores; "
          "default 1)\n"
       << "  --seed S     base RNG seed (default " << spec.default_seed << ")\n"
@@ -32,7 +33,6 @@ void PrintUsage(const HarnessSpec& spec, std::ostream& out) {
     out << "  " << left << "  " << flag.help << "\n";
   }
   out << "  --help       this text\n";
-  if (!spec.extra_usage.empty()) out << spec.extra_usage;
 }
 
 template <typename T>
@@ -41,6 +41,21 @@ bool ParseNumber(std::string_view text, T* out) {
   const char* end = begin + text.size();
   const auto res = std::from_chars(begin, end, *out);
   return res.ec == std::errc{} && res.ptr == end;
+}
+
+template <typename T>
+bool ParseNonNegativeFlag(const HarnessOptions& options, std::string_view name,
+                          const char* kind, T* out) {
+  const std::string* value = FlagValue(options, name);
+  if (value == nullptr) return true;
+  T parsed{};
+  if (!ParseNumber(*value, &parsed) || parsed < 0) {
+    std::cerr << "error: " << name << " wants a non-negative " << kind
+              << ", got '" << *value << "'\n";
+    return false;
+  }
+  *out = parsed;
+  return true;
 }
 
 }  // namespace
@@ -57,6 +72,8 @@ HarnessOptions ParseHarnessOptions(const HarnessSpec& spec, int argc,
                                    char** argv) {
   HarnessOptions options;
   options.seed = spec.default_seed;
+  const std::string_view command =
+      argc > 0 ? std::string_view(argv[0]) : std::string_view(spec.name);
   options.json_path =
       "BENCH_" + (spec.json_name.empty() ? spec.name : spec.json_name) +
       ".json";
@@ -96,7 +113,7 @@ HarnessOptions ParseHarnessOptions(const HarnessSpec& spec, int argc,
 
     if (name == "--help" || name == "-h") {
       options.help = true;
-      PrintUsage(spec, std::cout);
+      PrintUsage(spec, command, std::cout);
       return options;
     }
     if (name == "--jobs" || name == "-j") {
@@ -150,7 +167,7 @@ HarnessOptions ParseHarnessOptions(const HarnessSpec& spec, int argc,
 
   if (!options.error.empty()) {
     std::cerr << "error: " << options.error << "\n";
-    PrintUsage(spec, std::cerr);
+    PrintUsage(spec, command, std::cerr);
   }
   return options;
 }
@@ -168,6 +185,16 @@ const std::string* FlagValue(const HarnessOptions& options,
     if (options.extra[i] == name) return &options.extra[i + 1];
   }
   return nullptr;
+}
+
+bool NonNegativeFlag(const HarnessOptions& options, std::string_view name,
+                     int* out) {
+  return ParseNonNegativeFlag(options, name, "integer", out);
+}
+
+bool NonNegativeFlag(const HarnessOptions& options, std::string_view name,
+                     double* out) {
+  return ParseNonNegativeFlag(options, name, "number", out);
 }
 
 }  // namespace jgre::harness

@@ -29,20 +29,20 @@ struct HarnessFlag {
   std::string help;  // one-line description for the usage text
 };
 
-// Static description a bench binary hands to the CLI parser.
+// Static description a bench hands to the CLI parser. Every optional member
+// has a default member initializer, so a designated initializer may name
+// only what it sets.
 struct HarnessSpec {
   // Short bench name; the default JSON path is "BENCH_<name>.json".
   std::string name;
   // Overrides the basename of the default JSON path ("" = use `name`).
-  std::string json_name;
+  std::string json_name{};
   std::uint64_t default_seed = 42;
   // Bench-specific flags beyond the shared set.
-  std::vector<HarnessFlag> extra_flags;
+  std::vector<HarnessFlag> extra_flags{};
   // Observability: advertise `--trace PATH` / `--metrics` support.
   bool supports_trace = false;
   bool supports_metrics = false;
-  // Free-form extra usage text appended to the flag list ("" if none).
-  std::string extra_usage;
 };
 
 struct HarnessOptions {
@@ -63,7 +63,8 @@ struct HarnessOptions {
 // `--no-json`, `--help`, plus `--trace PATH` / `--metrics` when the spec
 // supports them and any declared spec.extra_flags. Every flag also accepts
 // the `--flag=value` spelling. Unknown arguments are parse errors: the
-// usage text goes to stderr and `error` is set.
+// usage text goes to stderr and `error` is set. argv[0] is the command the
+// usage text names (e.g. "jgre_bench fleet_census").
 HarnessOptions ParseHarnessOptions(const HarnessSpec& spec, int argc,
                                    char** argv);
 
@@ -74,6 +75,15 @@ bool HasFlag(const HarnessOptions& options, std::string_view name);
 // for flags declared with takes_value.
 const std::string* FlagValue(const HarnessOptions& options,
                              std::string_view name);
+
+// Strict parsing of a declared value flag as a non-negative number into
+// *out, which keeps its default when the flag is absent. A malformed value
+// prints "error: <name> wants a non-negative ..." to stderr and returns
+// false: a usage error (exit 2), never a silent zero.
+bool NonNegativeFlag(const HarnessOptions& options, std::string_view name,
+                     int* out);
+bool NonNegativeFlag(const HarnessOptions& options, std::string_view name,
+                     double* out);
 
 // 0 -> std::thread::hardware_concurrency (min 1); otherwise clamped >= 1.
 int ResolveJobs(int jobs);

@@ -1,9 +1,25 @@
 #include "sim/device.h"
 
+#include <stdexcept>
+
+#include "common/strings.h"
 #include "obs/chrome_trace.h"
 #include "snapshot/serializer.h"
+#include "snapshot/snapshot.h"
 
 namespace jgre::sim {
+namespace {
+
+// A freshly Boot()ed system with the spec's system config and boot seed.
+std::unique_ptr<core::AndroidSystem> BootFresh(const DeviceSpec& spec) {
+  core::SystemConfig sys_config = spec.system_config();
+  sys_config.seed = spec.seed();
+  auto system = std::make_unique<core::AndroidSystem>(sys_config);
+  system->Boot();
+  return system;
+}
+
+}  // namespace
 
 std::uint64_t PrefixKey(const DeviceSpec& spec) {
   // Every field that BootPrefix() reads, in declaration order. Byte-stable
@@ -29,11 +45,22 @@ std::uint64_t PrefixKey(const DeviceSpec& spec) {
   return out.Hash();
 }
 
+std::unique_ptr<core::AndroidSystem> RestorePrefix(
+    const DeviceSpec& spec, const snapshot::SystemSnapshot& image,
+    std::string_view context) {
+  std::unique_ptr<core::AndroidSystem> system = BootFresh(spec);
+  Status restored = image.RestoreInto(system.get());
+  if (!restored.ok()) {
+    // RestoreInto already cites the snapshot source (manifest path or
+    // in-memory identity); the context says which shard or device hit it.
+    throw std::runtime_error(
+        StrCat(context, ": restore failed: ", restored.ToString()));
+  }
+  return system;
+}
+
 std::unique_ptr<core::AndroidSystem> DeviceFactory::BootPrefix() const {
-  core::SystemConfig sys_config = spec_.system_config();
-  sys_config.seed = spec_.seed();
-  auto system = std::make_unique<core::AndroidSystem>(sys_config);
-  system->Boot();
+  std::unique_ptr<core::AndroidSystem> system = BootFresh(spec_);
   if (spec_.warmup_apps() > 0) {
     attack::BenignWorkload::Options options;
     options.app_count = spec_.warmup_apps();

@@ -40,6 +40,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "attack/benign_workload.h"
@@ -52,6 +53,10 @@
 #include "obs/event.h"
 #include "obs/metrics.h"
 #include "obs/trace_buffer.h"
+
+namespace jgre::snapshot {
+class SystemSnapshot;
+}
 
 namespace jgre::sim {
 
@@ -178,6 +183,15 @@ class DeviceSpec {
 // layer uses to serve hundreds of heterogeneous devices from a handful of
 // warmed boot images.
 std::uint64_t PrefixKey(const DeviceSpec& spec);
+
+// The one reset primitive: rebuilds `spec`'s prefix system from `image`, a
+// checkpoint of a prefix with the same PrefixKey. Boots a fresh system from
+// the spec's system config and boot seed, then restores the image into it.
+// Throws std::runtime_error("<context>: restore failed: ...") on failure, so
+// the caller's context names the shard or device that hit it.
+std::unique_ptr<core::AndroidSystem> RestorePrefix(
+    const DeviceSpec& spec, const snapshot::SystemSnapshot& image,
+    std::string_view context);
 
 // One live simulated device. Owns every piece of per-device state; never
 // shares interned tables, observability sinks, or RNG streams with another

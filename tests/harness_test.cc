@@ -159,6 +159,24 @@ TEST(HarnessCliTest, DeclaredValueFlagsLandInExtra) {
   EXPECT_EQ(FlagValue(opts, "--curves"), nullptr);
 }
 
+TEST(HarnessCliTest, NonNegativeFlagParsesStrictly) {
+  int top = 5;
+  double ratio = 0.5;
+  EXPECT_TRUE(NonNegativeFlag(Parse({}), "--top", &top));  // absent: default
+  EXPECT_EQ(top, 5);
+  EXPECT_TRUE(NonNegativeFlag(Parse({"--top", "7"}), "--top", &top));
+  EXPECT_EQ(top, 7);
+  EXPECT_TRUE(NonNegativeFlag(Parse({"--top=2.5"}), "--top", &ratio));
+  EXPECT_EQ(ratio, 2.5);
+  for (const char* bad : {"-1", "7x", "", "banana"}) {
+    EXPECT_FALSE(NonNegativeFlag(Parse({"--top", bad}), "--top", &top)) << bad;
+    EXPECT_FALSE(NonNegativeFlag(Parse({"--top", bad}), "--top", &ratio))
+        << bad;
+  }
+  EXPECT_EQ(top, 7);
+  EXPECT_EQ(ratio, 2.5);
+}
+
 TEST(HarnessCliTest, UnknownFlagsAreRejected) {
   EXPECT_FALSE(Parse({"--bogus"}).error.empty());
   EXPECT_FALSE(Parse({"stray"}).error.empty());

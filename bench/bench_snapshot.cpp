@@ -1,7 +1,9 @@
 // bench_snapshot — measures the checkpoint/restore subsystem itself:
 //   * checkpoint payload size and manifest fields for the standard ablation
 //     prefix (boot + the full Fig-4 top-300 benign warmup),
-//   * wall-clock capture and restore latency, and
+//   * wall-clock capture and restore latency, and the latency of rewinding
+//     a restored system that one fuzz-execution-sized drive has touched
+//     back to the checkpoint in place (SystemSnapshot::RewindInto), and
 //   * the end-to-end speedup BranchRunner buys bench_ablation_thresholds'
 //     14-point sweep over the --cold baseline that re-simulates the shared
 //     prefix per point (the figure of merit: warm mode amortizes one prefix
@@ -23,6 +25,7 @@
 #include "harness/branch_runner.h"
 #include "harness/experiment_runner.h"
 #include "harness/json.h"
+#include "services/clipboard_service.h"
 #include "sim/device.h"
 #include "snapshot/snapshot.h"
 
@@ -50,6 +53,24 @@ struct SweepTally {
   unsigned long long virtual_us = 0;
   bool operator==(const SweepTally&) const = default;
 };
+
+// What one fuzz execution does to a restored system: a new app registers
+// 20 fresh clipboard listeners (system_server JGRs, binder nodes, death
+// links), then every live runtime is collected.
+void Drive(core::AndroidSystem& system) {
+  services::AppProcess* app = system.InstallApp("com.snapshot.driver");
+  auto clipboard = app->GetService(services::ClipboardService::kName,
+                                   services::ClipboardService::kDescriptor);
+  if (!clipboard.ok()) return;
+  for (int i = 0; i < 20; ++i) {
+    (void)clipboard.value().Call(
+        services::ClipboardService::TRANSACTION_addPrimaryClipChangedListener,
+        [&](binder::Parcel& p) {
+          p.WriteStrongBinder(app->NewBinder("IOnPrimaryClipChangedListener"));
+        });
+  }
+  system.CollectAllGarbage();
+}
 
 SweepTally Tally(const AblationBranches& branches) {
   SweepTally tally;
@@ -101,8 +122,25 @@ int RunSnapshot(const harness::HarnessSpec& spec,
         sim::RestorePrefix(prefix, *snapshot, "snapshot bench");
     restore_samples.push_back(MsSince(start));
   }
+  std::vector<double> rewind_samples;
+  {
+    const std::unique_ptr<core::AndroidSystem> driven =
+        sim::RestorePrefix(prefix, *snapshot, "snapshot bench");
+    for (int i = 0; i < kReps; ++i) {
+      Drive(*driven);
+      auto start = WallClock::now();
+      const Status rewound = snapshot->RewindInto(driven.get());
+      rewind_samples.push_back(MsSince(start));
+      if (!rewound.ok()) {
+        std::fprintf(stderr, "rewind failed: %s\n",
+                     rewound.ToString().c_str());
+        return 1;
+      }
+    }
+  }
   const double capture_ms = MedianMs(capture_samples);
   const double restore_ms = MedianMs(restore_samples);
+  const double rewind_ms = MedianMs(rewind_samples);
   const snapshot::SnapshotManifest& manifest = snapshot->manifest();
   std::printf("\nprefix build: %.1f ms (boot + top-300 benign warmup)\n",
               prefix_ms);
@@ -112,6 +150,8 @@ int RunSnapshot(const harness::HarnessSpec& spec,
   std::printf("capture: %.2f ms (median of %d); restore (boot + patch): "
               "%.2f ms (median of %d)\n",
               capture_ms, kReps, restore_ms, kReps);
+  std::printf("rewind (driven system, in place): %.2f ms (median of %d)\n",
+              rewind_ms, kReps);
   prefix_system.reset();
 
   // --- warm vs cold ablation sweep (14 branches) ---
@@ -165,7 +205,8 @@ int RunSnapshot(const harness::HarnessSpec& spec,
                  .Set("virtual_time_us", manifest.virtual_time_us)
                  .Set("prefix_build_ms", prefix_ms)
                  .Set("capture_ms", capture_ms)
-                 .Set("restore_ms", restore_ms))
+                 .Set("restore_ms", restore_ms)
+                 .Set("rewind_ms", rewind_ms))
         .Set("ablation_sweep",
              harness::Json::Object()
                  .Set("branches", 14)

@@ -12,8 +12,9 @@ contradict the directed-verifier census. --min-refound asserts the smoke
 campaign re-found at least N census interfaces.
 
 Compare mode checks the determinism contract: two runs at the same seed and
-budget (any --jobs) must agree on the deterministic blocks (findings and
-consistency) byte for byte; wall-clock fields are exempt. Stdlib only.
+budget (any --jobs) must agree on the deterministic blocks (findings,
+consistency, seeding and the campaign's counts) byte for byte; wall-clock
+fields are exempt. Stdlib only.
 """
 import argparse
 
@@ -105,14 +106,22 @@ def check_schema(doc, path, min_refound):
           f"{len(refound)}/{census_total} census re-found, 0 false positives")
 
 
+WALL_CLOCK_CAMPAIGN_FIELDS = ("wall_ms", "execs_per_sec")
+
+
 def compare(path_a, path_b):
     a, b = load(path_a), load(path_b)
     for block in ("seed", "budget", "findings", "consistency", "seeding"):
         if a.get(block) != b.get(block):
             fail(f"deterministic block {block!r} differs between "
                  f"{path_a} and {path_b}")
+    counts_a, counts_b = ({k: v for k, v in doc.get("campaign", {}).items()
+                           if k not in WALL_CLOCK_CAMPAIGN_FIELDS}
+                          for doc in (a, b))
+    if counts_a != counts_b:
+        fail(f"campaign counts differ between {path_a} and {path_b}")
     print(f"validate_fuzz_findings: OK: {path_a} and {path_b} agree on "
-          "findings and consistency")
+          "findings, consistency and campaign counts")
 
 
 def main():

@@ -68,15 +68,17 @@ NodeId BinderDriver::RegisterBinder(const std::shared_ptr<BBinder>& binder,
   return node_id;
 }
 
+// Bounded by the table itself, not next_node_: after a restore that failed
+// part-way (the system is then discarded) the two can disagree.
 BinderDriver::Node* BinderDriver::FindNode(NodeId node) {
   const std::int64_t id = node.value();
-  if (id < 1 || id >= next_node_) return nullptr;
+  if (id < 1 || static_cast<std::uint64_t>(id) > nodes_.size()) return nullptr;
   return &nodes_[static_cast<std::size_t>(id - 1)];
 }
 
 const BinderDriver::Node* BinderDriver::FindNode(NodeId node) const {
   const std::int64_t id = node.value();
-  if (id < 1 || id >= next_node_) return nullptr;
+  if (id < 1 || static_cast<std::uint64_t>(id) > nodes_.size()) return nullptr;
   return &nodes_[static_cast<std::size_t>(id - 1)];
 }
 
@@ -501,58 +503,65 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
   in.Marker(0x42445232);
   descriptors_.RestoreState(in);
   descriptor_labels_.clear();  // refilled lazily; interning is idempotent
-  const std::size_t boot_nodes = nodes_.size();
+  // The first restore runs on a freshly booted driver: every node it holds
+  // is a boot node.
+  if (!boot_nodes_.has_value()) boot_nodes_ = nodes_.size();
+  const std::size_t boot_nodes = *boot_nodes_;
   next_node_ = in.I64();
   const std::int64_t node_count = next_node_ - 1;
-  if (node_count < static_cast<std::int64_t>(boot_nodes)) {
+  if (node_count < static_cast<std::int64_t>(boot_nodes) ||
+      nodes_.size() < boot_nodes) {
     in.Fail("checkpoint has fewer binder nodes than the fresh boot");
     return;
   }
-  for (std::int64_t i = 0; i < node_count && in.ok(); ++i) {
+  std::int64_t restored = 0;
+  for (; restored < node_count && in.ok(); ++restored) {
+    const std::size_t index = static_cast<std::size_t>(restored);
     const NodeId id{in.I64()};
     const Pid owner{static_cast<std::int32_t>(in.I64())};
     const DescriptorId descriptor_id = in.U32();
     const bool has_strong = in.Bool();
     const ObjectId sender_obj{in.I64()};
-    std::vector<Pid> holders;  // saved sorted
-    for (std::uint64_t h = 0, n = in.U64(); h < n && in.ok(); ++h) {
-      holders.push_back(Pid{static_cast<std::int32_t>(in.I64())});
+    if (!in.ok()) break;
+    const bool boot = index < boot_nodes;
+    if (index == nodes_.size()) nodes_.emplace_back();
+    Node& node = nodes_[index];
+    if (boot && (node.id != id || node.owner != owner ||
+                 node.descriptor_id != descriptor_id)) {
+      // The fresh boot recreated this node: its identity must match.
+      in.Fail("boot-time binder node mismatch on restore");
+      break;
     }
-    const bool pinned = in.Bool();
-    const bool dead = in.Bool();
-    if (!in.ok()) return;
-    if (i < static_cast<std::int64_t>(boot_nodes)) {
-      // Boot-created node: the fresh boot recreated the same object. Validate
-      // the identity, then overwrite the mutable state.
-      Node& node = nodes_[static_cast<std::size_t>(i)];
-      if (node.id != id || node.owner != owner ||
-          node.descriptor_id != descriptor_id) {
-        in.Fail("boot-time binder node mismatch on restore");
-        return;
+    node.id = id;
+    node.owner = owner;
+    node.descriptor_id = descriptor_id;
+    node.sender_obj = sender_obj;
+    node.holders.clear();  // saved sorted
+    for (std::uint64_t h = 0, n = in.U64(); h < n && in.ok(); ++h) {
+      node.holders.push_back(Pid{static_cast<std::int32_t>(in.I64())});
+    }
+    node.death_links.clear();  // rebuilt from the restored link table
+    node.pinned = in.Bool();
+    node.dead = in.Bool();
+    if (!in.ok()) break;
+    if (!has_strong || node.dead) {
+      node.strong.reset();
+    } else if (boot) {
+      if (node.strong == nullptr) {
+        in.Fail("boot-time binder node lost its object");
+        break;
       }
-      if (!has_strong || dead) node.strong.reset();
-      node.sender_obj = sender_obj;
-      node.holders = std::move(holders);
-      node.death_links.clear();  // rebuilt from the restored link table
-      node.pinned = pinned;
-      node.dead = dead;
+    } else if (descriptor_id >= descriptors_.size()) {
+      in.Fail("binder node descriptor out of range");
+      break;
     } else {
-      Node node;
-      node.id = id;
-      node.owner = owner;
-      node.descriptor_id = descriptor_id;
-      node.sender_obj = sender_obj;
-      node.holders = std::move(holders);
-      node.pinned = pinned;
-      node.dead = dead;
-      if (has_strong && !dead) {
-        node.strong = std::make_shared<RestoredPlaceholderBinder>(
-            descriptors_.Name(descriptor_id));
-        node.strong->AttachNode(this, id, owner);
-      }
-      nodes_.push_back(std::move(node));
+      node.strong = Placeholder(index, id, owner,
+                                descriptors_.Name(descriptor_id));
     }
   }
+  // Nodes registered since the checkpoint (and, after a failed read, the one
+  // left half-written) leave the table.
+  nodes_.resize(static_cast<std::size_t>(restored));
   next_link_ = in.I64();
   links_.clear();
   for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
@@ -574,15 +583,48 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
   hooked_runtimes_.clear();
   for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
     const Pid pid{static_cast<std::int32_t>(in.I64())};
+    os::Process* proc = kernel_->FindProcess(pid);
+    if (proc == nullptr) {
+      in.Fail("hooked runtime of a process the checkpoint lacks");
+      break;
+    }
     const std::size_t slot = static_cast<std::size_t>(pid.value() - 1);
     if (slot >= hooked_runtimes_.size()) hooked_runtimes_.resize(slot + 1, 0);
     hooked_runtimes_[slot] = 1;
-    os::Process* proc = kernel_->FindProcess(pid);
-    if (proc != nullptr && proc->alive && proc->HasRuntime()) {
+    if (proc->alive && proc->HasRuntime()) {
       proc->runtime->SetProxyCollectHandler(
           [this, pid](NodeId node) { OnProxyCollected(pid, node); });
     }
   }
+  boot_binders_held_ = BootBindersHeld();
+}
+
+std::shared_ptr<BBinder> BinderDriver::Placeholder(
+    std::size_t index, NodeId id, Pid owner, const std::string& descriptor) {
+  if (index >= placeholders_.size()) placeholders_.resize(index + 1);
+  std::shared_ptr<BBinder>& placeholder = placeholders_[index];
+  if (placeholder == nullptr ||
+      placeholder->InterfaceDescriptor() != descriptor) {
+    placeholder = std::make_shared<RestoredPlaceholderBinder>(descriptor);
+  }
+  placeholder->AttachNode(this, id, owner);
+  return placeholder;
+}
+
+std::size_t BinderDriver::BootBindersHeld() const {
+  const std::size_t boot_nodes =
+      std::min(boot_nodes_.value_or(0), nodes_.size());
+  std::size_t held = 0;
+  for (std::size_t i = 0; i < boot_nodes; ++i) {
+    if (nodes_[i].strong != nullptr) ++held;
+  }
+  return held;
+}
+
+bool BinderDriver::BootBindersIntact() const {
+  // Objects are only ever lost between restores, never regained, so an
+  // unchanged count means none was lost.
+  return boot_nodes_.has_value() && BootBindersHeld() == boot_binders_held_;
 }
 
 std::string BinderDriver::RenderIpcLogProcfs(std::size_t max_lines) const {

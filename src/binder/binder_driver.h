@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -130,6 +131,9 @@ class BinderDriver {
   void SetTransactObserver(TransactObserver observer) {
     transact_observer_ = std::move(observer);
   }
+  bool HasTransactHooks() const {
+    return transact_gate_ != nullptr || transact_observer_ != nullptr;
+  }
 
   // Hook invoked after every *top-level* transaction returns; the core
   // facade uses it for GC cadence, soft-reboot handling and defense pumping.
@@ -194,15 +198,23 @@ class BinderDriver {
 
   // Checkpointing. SaveState writes the node table, death links (sans
   // recipients — live wiring re-attached by their owners), descriptor
-  // interner, IPC ring log and counters. RestoreState runs against a freshly
-  // booted driver: boot-created nodes keep their real BBinder objects (a
-  // deterministic boot recreates them bit-for-bit), while live post-boot
-  // nodes get placeholder objects that refuse transactions — the checkpoint
-  // contract requires that no such node receives a transaction after restore
-  // (the harness checkpoints at a quiescent boundary where all dynamic
-  // clients have been stopped).
+  // interner, IPC ring log and counters. The first RestoreState runs against
+  // a freshly booted driver and remembers how many nodes the boot created:
+  // boot-created nodes keep their real BBinder objects (a deterministic boot
+  // recreates them bit-for-bit), while live post-boot nodes get placeholder
+  // objects that refuse transactions — the checkpoint contract requires that
+  // no such node receives a transaction after restore (the harness
+  // checkpoints at a quiescent boundary where all dynamic clients have been
+  // stopped). Later restores (snapshot::SystemSnapshot::RewindInto) run in
+  // place: nodes created since are dropped, and placeholders are reused by
+  // node id instead of allocated anew.
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
+
+  // False once a boot-created node has lost its object since the last
+  // restore (its owner died or it was released): a restore cannot bring
+  // the object back, only a fresh boot can.
+  bool BootBindersIntact() const;
 
  private:
   struct Node {
@@ -236,6 +248,11 @@ class BinderDriver {
   void AppendLog(Pid from, Uid from_uid, Pid to, NodeId node,
                  std::uint32_t code, DescriptorId descriptor_id);
   void AttachRuntimeHooks(Pid pid, rt::Runtime* runtime);
+  // The placeholder object for post-boot node `index`, reused across
+  // restores while its descriptor matches.
+  std::shared_ptr<BBinder> Placeholder(std::size_t index, NodeId id, Pid owner,
+                                       const std::string& descriptor);
+  std::size_t BootBindersHeld() const;
   // Bus label for a descriptor, interned once per descriptor on first use so
   // the per-transaction emit is an array load.
   obs::LabelId DescriptorLabel(DescriptorId id);
@@ -249,6 +266,12 @@ class BinderDriver {
   // routing a transaction is a bounds check + array index, not a hash lookup.
   std::int64_t next_node_ = 1;
   std::vector<Node> nodes_;
+  // Nodes the boot created (set by the first restore) and how many of them
+  // held their object when the last restore finished.
+  std::optional<std::size_t> boot_nodes_;
+  std::size_t boot_binders_held_ = 0;
+  // Placeholder objects of restored post-boot nodes, by node index.
+  std::vector<std::shared_ptr<BBinder>> placeholders_;
 
   // Interface descriptors, interned once per distinct string.
   StringInterner descriptors_;

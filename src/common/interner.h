@@ -57,19 +57,39 @@ class StringInterner {
 
   // Checkpointing: names are written in id order and re-interned on restore,
   // which reproduces the exact id assignment (ids are dense, first-seen).
+  // Restore works in place: held names that match the saved list are kept
+  // (a matching prefix has matching ids), so an interner that already
+  // equals the saved list is not rebuilt, one that holds a prefix of it
+  // only interns the rest, and names past the saved list are dropped.
   void SaveState(snapshot::Serializer& out) const {
     out.U64(names_.size());
     for (const std::string& name : names_) out.Str(name);
   }
   void RestoreState(snapshot::Deserializer& in) {
-    names_.clear();
-    ids_.clear();
     last_id_ = kInvalidId;
     const std::uint64_t n = in.U64();
-    for (std::uint64_t i = 0; i < n && in.ok(); ++i) (void)Intern(in.Str());
+    for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
+      const std::string_view name = in.StrView();
+      if (!in.ok()) return;
+      if (i < names_.size()) {
+        if (name == names_[i]) continue;
+        Truncate(static_cast<std::size_t>(i));
+      }
+      (void)Intern(name);
+    }
+    if (in.ok() && n < names_.size()) Truncate(static_cast<std::size_t>(n));
   }
 
  private:
+  // Drops every name with id >= `size`.
+  void Truncate(std::size_t size) {
+    while (names_.size() > size) {
+      ids_.erase(names_.back());
+      names_.pop_back();
+    }
+    last_id_ = kInvalidId;
+  }
+
   struct Hash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const noexcept {

@@ -309,10 +309,11 @@ void AndroidSystem::SaveState(snapshot::Serializer& out) const {
   }
 }
 
-void AndroidSystem::RestoreState(snapshot::Deserializer& in) {
-  assert(booted_ && "restore requires a freshly booted system");
+void AndroidSystem::RestoreState(snapshot::Deserializer& in,
+                                 const snapshot::RestoreContext& ctx) {
+  assert(booted_ && "restore requires a booted system");
   in.Marker(0x53595331);
-  kernel_.RestoreState(in);
+  kernel_.RestoreState(in, ctx);
   driver_->RestoreState(in);
   service_manager_->RestoreState(in);
   package_manager_.RestoreState(in);
@@ -331,6 +332,7 @@ void AndroidSystem::RestoreState(snapshot::Deserializer& in) {
     }
     it->second->RestoreState(in);
   }
+  restored_services_ = service_objects_.size();
   next_app_uid_ = static_cast<std::int32_t>(in.I64());
   last_gc_us_ = in.U64();
   soft_reboots_seen_ = in.I64();
@@ -351,6 +353,15 @@ void AndroidSystem::RestoreState(snapshot::Deserializer& in) {
     }
     app_permissions_.emplace(std::move(package), std::move(permissions));
   }
+}
+
+bool AndroidSystem::Rewindable() const {
+  return booted_ && restored_image_ != 0 && soft_reboots_seen_ == 0 &&
+         !kernel_.HasPendingSoftReboot() &&
+         service_objects_.size() == restored_services_ &&
+         driver_->BootBindersIntact() && !driver_->HasTransactHooks() &&
+         pump_extension_ == nullptr && post_reboot_hook_ == nullptr &&
+         kernel_.bus().subscriber_count() == 0;
 }
 
 void AndroidSystem::HandleSoftReboot(const std::string& reason) {

@@ -37,6 +37,10 @@
 #include "services/ui_services.h"
 #include "services/wifi_service.h"
 
+namespace jgre::snapshot {
+class SystemSnapshot;
+}
+
 namespace jgre::core {
 
 struct SystemConfig {
@@ -149,16 +153,32 @@ class AndroidSystem {
 
   // Checkpointing. SaveState captures the full simulated-device state in
   // module order (kernel → driver → service manager → package manager →
-  // services → facade bookkeeping → apps). RestoreState must run on a
-  // freshly constructed AndroidSystem with the SAME SystemConfig that has
-  // been Boot()ed: the boot deterministically recreates all structural
+  // services → facade bookkeeping → apps). The first RestoreState must run
+  // on a freshly constructed AndroidSystem with the SAME SystemConfig that
+  // has been Boot()ed: the boot deterministically recreates all structural
   // wiring (service objects, boot binder nodes, death listeners, procfs,
   // LMK), and restore then patches every module's mutable state wholesale.
-  // The pump extension and post-reboot hook are wiring and survive restore.
+  // Later restores run in place on a Rewindable() system (see
+  // snapshot::SystemSnapshot::RewindInto). The pump extension and
+  // post-reboot hook are wiring and survive restore.
   void SaveState(snapshot::Serializer& out) const;
-  void RestoreState(snapshot::Deserializer& in);
+  void RestoreState(snapshot::Deserializer& in,
+                    const snapshot::RestoreContext& ctx = {});
+
+  // True when restoring a checkpoint in place reproduces a fresh boot +
+  // restore exactly: the system was restored before, and since then no soft
+  // reboot happened or is pending, no boot binder lost its object, no
+  // service was added, and nothing outside the checkpointed state hooks into
+  // it (transact gate or observer, pump extension, post-reboot hook, or an
+  // EventBus subscriber).
+  bool Rewindable() const;
+  // In-place rewinds this system has taken.
+  std::int64_t rewinds() const { return rewinds_; }
 
  private:
+  // Records which checkpoint the system was last restored from.
+  friend class snapshot::SystemSnapshot;
+
   void BootSystemServer();
   void BootPrebuiltApps();
   void RegisterService(const std::string& name,
@@ -184,6 +204,13 @@ class AndroidSystem {
   std::int64_t soft_reboots_seen_ = 0;
   std::function<void()> pump_extension_;
   std::function<void()> post_reboot_hook_;
+
+  // Restore bookkeeping: service objects the last restore matched, the
+  // identity of the checkpoint it read (0: none, or the restore failed) and
+  // the number of in-place rewinds.
+  std::size_t restored_services_ = 0;
+  std::uint64_t restored_image_ = 0;
+  std::int64_t rewinds_ = 0;
 };
 
 }  // namespace jgre::core

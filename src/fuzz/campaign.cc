@@ -153,6 +153,15 @@ std::unique_ptr<core::AndroidSystem> CampaignRunner::ResetSystem(
   return branch_->RestoreBranchSystem(shard);
 }
 
+template <typename Execute>
+ExecOutcome CampaignRunner::ExecuteOnReset(std::size_t shard,
+                                           Execute&& execute) const {
+  std::unique_ptr<core::AndroidSystem> system = ResetSystem(shard);
+  ExecOutcome outcome = execute(*system);
+  branch_->RecycleBranchSystem(std::move(system));
+  return outcome;
+}
+
 Sequence CampaignRunner::PickSequence(
     Rng& rng, const std::vector<CorpusEntry>& entries) const {
   if (!entries.empty() && rng.Chance(options_.mutate_probability)) {
@@ -190,9 +199,10 @@ CampaignResult CampaignRunner::Run() {
           Rng rng(MixSeed(options_.seed, 0x5052'4F54ull /* "PROT" */, i));
           Sequence seq = mutator_->GenerateChain(
               i, std::max(2, options_.seed_sequence_calls), rng);
-          std::unique_ptr<core::AndroidSystem> system =
-              ResetSystem(400'000 + i);
-          ExecOutcome outcome = executor_->Execute(*system, seq);
+          ExecOutcome outcome = ExecuteOnReset(
+              400'000 + i, [&](core::AndroidSystem& system) {
+                return executor_->Execute(system, seq);
+              });
           return ShardExec{std::move(seq), std::move(outcome.elements),
                            oracle_.Screen(outcome.obs)};
         });
@@ -232,9 +242,10 @@ CampaignResult CampaignRunner::Run() {
           for (int c = 0; c < std::max(1, options_.seed_sequence_calls); ++c) {
             seq.calls.push_back(mutator_->MakeCall(*method, rng));
           }
-          std::unique_ptr<core::AndroidSystem> system =
-              ResetSystem(300'000 + i);
-          ExecOutcome outcome = executor_->Execute(*system, seq);
+          ExecOutcome outcome = ExecuteOnReset(
+              300'000 + i, [&](core::AndroidSystem& system) {
+                return executor_->Execute(system, seq);
+              });
           return ShardExec{std::move(seq), std::move(outcome.elements),
                            oracle_.Screen(outcome.obs)};
         });
@@ -280,9 +291,11 @@ CampaignResult CampaignRunner::Run() {
               out.reserve(static_cast<std::size_t>(execs));
               for (int e = 0; e < execs; ++e) {
                 Sequence seq = PickSequence(rng, entries);
-                std::unique_ptr<core::AndroidSystem> system =
-                    ResetSystem(static_cast<std::size_t>(round) * 1000 + shard);
-                ExecOutcome outcome = executor_->Execute(*system, seq);
+                ExecOutcome outcome = ExecuteOnReset(
+                    static_cast<std::size_t>(round) * 1000 + shard,
+                    [&](core::AndroidSystem& system) {
+                      return executor_->Execute(system, seq);
+                    });
                 out.push_back({std::move(seq), std::move(outcome.elements),
                                oracle_.Screen(outcome.obs)});
               }
@@ -352,11 +365,12 @@ CampaignResult CampaignRunner::Run() {
   }
   std::vector<OracleVerdict> verdicts = harness::RunOrdered<OracleVerdict>(
       targets.size(), options_.jobs, [&](std::size_t i) {
-        std::unique_ptr<core::AndroidSystem> system =
-            ResetSystem(100'000 + i);
-        ExecOutcome outcome = executor_->ExecuteRepeated(
-            *system, targets[i].call, options_.confirm_calls,
-            targets[i].setup);
+        ExecOutcome outcome = ExecuteOnReset(
+            100'000 + i, [&](core::AndroidSystem& system) {
+              return executor_->ExecuteRepeated(system, targets[i].call,
+                                                options_.confirm_calls,
+                                                targets[i].setup);
+            });
         return oracle_.Confirm(outcome.obs);
       });
   stats.confirm_executions = static_cast<int>(targets.size());
@@ -402,9 +416,10 @@ CampaignResult CampaignRunner::Run() {
               }
               if (!has_method) return false;  // free reject, no execution
               ++mr.execs;
-              std::unique_ptr<core::AndroidSystem> system =
-                  ResetSystem(200'000 + i);
-              ExecOutcome outcome = executor_->Execute(*system, cand);
+              ExecOutcome outcome = ExecuteOnReset(
+                  200'000 + i, [&](core::AndroidSystem& system) {
+                    return executor_->Execute(system, cand);
+                  });
               return oracle_.Screen(outcome.obs).suspicious();
             };
             // Pre-trim: if the homogeneous subsequence (the finding's calls
@@ -430,6 +445,7 @@ CampaignResult CampaignRunner::Run() {
 
   std::sort(result.findings.begin(), result.findings.end(),
             [](const Finding& a, const Finding& b) { return a.id < b.id; });
+  branch_->DrainBranchSystems();
 
   stats.total_executions = stats.seed_executions +
                            stats.protocol_seed_executions +
@@ -452,10 +468,12 @@ double CampaignRunner::MeasureResetThroughput(int execs) {
   const auto start = std::chrono::steady_clock::now();
   harness::RunOrdered<int>(
       static_cast<std::size_t>(execs), options_.jobs, [&](std::size_t i) {
-        std::unique_ptr<core::AndroidSystem> system = ResetSystem(i);
-        return executor_->Execute(*system, sequences[i]).obs.calls;
+        return ExecuteOnReset(i, [&](core::AndroidSystem& system) {
+                 return executor_->Execute(system, sequences[i]);
+               }).obs.calls;
       });
   const double seconds = SecondsSince(start);
+  branch_->DrainBranchSystems();
   return seconds > 0.0 ? static_cast<double>(execs) / seconds : 0.0;
 }
 

@@ -180,6 +180,12 @@ class CampaignRunner {
   std::unique_ptr<core::AndroidSystem> ResetSystem(std::size_t shard) const;
 
  private:
+  // One execution: a system from the reset pool rewound to the checkpoint
+  // (or freshly reset; see harness::BranchRunner::RestoreBranchSystem),
+  // `execute(system)`, and the system back to the pool.
+  template <typename Execute>
+  ExecOutcome ExecuteOnReset(std::size_t shard, Execute&& execute) const;
+
   struct Suspect {
     Sequence seq;
     ExhaustionKind kind = ExhaustionKind::kNone;

@@ -65,7 +65,36 @@ std::unique_ptr<core::AndroidSystem> BranchRunner::RestoreBranchSystem(
   if (!snapshot_.has_value()) {
     throw std::runtime_error(StrCat(context, ": Prepare() has not captured"));
   }
-  return sim::RestorePrefix(prefix_, *snapshot_, context);
+  std::unique_ptr<core::AndroidSystem> pooled;
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    if (!pool_.empty()) {
+      pooled = std::move(pool_.back());
+      pool_.pop_back();
+    }
+  }
+  return sim::RestorePrefix(prefix_, *snapshot_, context, std::move(pooled));
+}
+
+void BranchRunner::RecycleBranchSystem(
+    std::unique_ptr<core::AndroidSystem> system) const {
+  if (system == nullptr || !snapshot_.has_value()) return;
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    if (pool_.size() < static_cast<std::size_t>(ResolveJobs(options_.jobs))) {
+      pool_.push_back(std::move(system));
+      return;
+    }
+  }
+  // A full pool: `system` is destroyed here, outside the lock.
+}
+
+void BranchRunner::DrainBranchSystems() const {
+  std::vector<std::unique_ptr<core::AndroidSystem>> drained;
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    drained.swap(pool_);
+  }
 }
 
 }  // namespace jgre::harness

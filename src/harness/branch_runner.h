@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -91,18 +92,33 @@ class BranchRunner {
   }
   const BranchOptions& options() const { return options_; }
 
-  // A fresh system restored from the shared checkpoint image through
-  // sim::RestorePrefix. Exposed for the fuzz campaign's snapshot-reset loop;
-  // Run uses it per branch. A restore failure throws with the failing
-  // shard/branch index (when given) and the checkpoint's manifest path, so a
-  // corrupt image is attributable mid-campaign.
+  // A system at the shared checkpoint, through sim::RestorePrefix: a system
+  // from the reset pool rewound in place, or a freshly restored one when
+  // the pool is empty or its system cannot be rewound exactly. Exposed for
+  // the fuzz campaign's snapshot-reset loop; Run uses it per branch (fresh:
+  // its devices install hooks, so their systems are never recycled). A
+  // restore failure throws with the failing shard/branch index (when given)
+  // and the checkpoint's manifest path, so a corrupt image is attributable
+  // mid-campaign. Thread-safe.
   std::unique_ptr<core::AndroidSystem> RestoreBranchSystem(
       std::optional<std::size_t> branch_index = std::nullopt) const;
+
+  // Returns a system RestoreBranchSystem handed out, once its execution is
+  // done, to the reset pool. The pool keeps at most `jobs` systems (one per
+  // worker) and drops the rest, and everything in cold mode. Thread-safe.
+  void RecycleBranchSystem(std::unique_ptr<core::AndroidSystem> system) const;
+  // Destroys the pooled systems, so their memory does not outlive the
+  // campaign phase that filled the pool. Thread-safe.
+  void DrainBranchSystems() const;
 
  private:
   sim::DeviceSpec prefix_;
   BranchOptions options_;
   std::optional<snapshot::SystemSnapshot> snapshot_;
+  // The reset pool: driven systems waiting to be rewound. A cache behind
+  // the const reset interface.
+  mutable std::mutex pool_mu_;
+  mutable std::vector<std::unique_ptr<core::AndroidSystem>> pool_;
 };
 
 }  // namespace jgre::harness

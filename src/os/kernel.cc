@@ -47,7 +47,6 @@ Pid Kernel::CreateProcess(const std::string& name, Uid uid,
   ++live_count_;
   assert(static_cast<std::size_t>(pid.value()) == processes_.size() + 1);
   processes_.push_back(std::make_unique<Process>(std::move(proc)));
-  LogEvent(StrCat("start pid=", pid.value(), " uid=", uid.value(), " ", name));
   CheckMemoryPressure();
   return pid;
 }
@@ -59,7 +58,6 @@ void Kernel::KillProcess(Pid pid, const std::string& reason) {
   proc.alive = false;
   used_memory_kb_ -= proc.memory_kb;
   --live_count_;
-  LogEvent(StrCat("kill pid=", pid.value(), " (", proc.name, "): ", reason));
   JGRE_LOG(kInfo, "kernel") << "killed " << proc.name << " pid="
                             << pid.value() << ": " << reason;
   JGRE_TRACE(&bus_, obs::Category::kLmk,
@@ -73,22 +71,27 @@ void Kernel::KillProcess(Pid pid, const std::string& reason) {
   if (proc.critical) {
     ++soft_reboot_count_;
     pending_soft_reboot_ = reason;
-    LogEvent(StrCat("soft reboot pending: ", reason));
     JGRE_TRACE(&bus_, obs::Category::kLmk,
                obs::MakeEvent(obs::Category::kLmk, obs::Label::kSoftReboot,
                               clock_.NowUs(), pid.value(), proc.uid.value()));
   }
 }
 
+// Bounded by the table itself, not next_pid_: after a restore that failed
+// part-way (the system is then discarded) the two can disagree.
 Process* Kernel::FindProcess(Pid pid) {
   const std::int32_t id = pid.value();
-  if (id < 1 || id >= next_pid_) return nullptr;
+  if (id < 1 || static_cast<std::size_t>(id) > processes_.size()) {
+    return nullptr;
+  }
   return processes_[static_cast<std::size_t>(id - 1)].get();
 }
 
 const Process* Kernel::FindProcess(Pid pid) const {
   const std::int32_t id = pid.value();
-  if (id < 1 || id >= next_pid_) return nullptr;
+  if (id < 1 || static_cast<std::size_t>(id) > processes_.size()) {
+    return nullptr;
+  }
   return processes_[static_cast<std::size_t>(id - 1)].get();
 }
 
@@ -134,7 +137,6 @@ Status Kernel::AllocFds(Pid pid, int count) {
     return FailedPrecondition("process is dead");
   }
   if (p->open_fds + count > p->fd_limit) {
-    LogEvent(StrCat("EMFILE pid=", pid.value(), " (", p->name, ")"));
     if (p->critical) {
       // system_server cannot survive fd starvation: binder, input and
       // storage paths all abort on EMFILE.
@@ -176,6 +178,7 @@ void Kernel::ReapDeadProcesses() {
   for (auto& proc : processes_) {
     if (!proc->alive && proc->runtime != nullptr) {
       proc->runtime.reset();  // JGR tables and heap disappear with the process
+      proc->restored_epoch = Process::kNoEpoch;
     }
   }
 }
@@ -214,24 +217,36 @@ void Kernel::SaveState(snapshot::Serializer& out) const {
   if (lmk_ != nullptr) lmk_->SaveState(out);
 }
 
-void Kernel::RestoreState(snapshot::Deserializer& in) {
+void Kernel::RestoreState(snapshot::Deserializer& in,
+                          const snapshot::RestoreContext& ctx) {
   in.Marker(0x4B524E31);
   clock_.RestoreState(in);
   rng_.RestoreState(in);
   bus_.RestoreState(in);
   next_pid_ = static_cast<std::int32_t>(in.I64());
-  processes_.clear();
   const std::uint64_t count = in.U64();
-  processes_.reserve(count);
-  for (std::uint64_t i = 0; i < count && in.ok(); ++i) {
-    Process proc;
-    proc.pid = Pid{static_cast<std::int32_t>(in.I64())};
-    if (static_cast<std::uint64_t>(proc.pid.value()) != i + 1) {
+  std::size_t restored = 0;
+  for (; restored < count && in.ok(); ++restored) {
+    const std::size_t slot = restored;
+    const Pid pid{static_cast<std::int32_t>(in.I64())};
+    if (static_cast<std::uint64_t>(pid.value()) != slot + 1) {
       in.Fail("process table pids are not dense");
-      return;
+      break;
     }
-    proc.uid = Uid{static_cast<std::int32_t>(in.I64())};
-    proc.name = in.Str();
+    const Uid uid{static_cast<std::int32_t>(in.I64())};
+    const std::string_view name = in.StrView();
+    if (!in.ok()) break;
+    // Keep the Process (and its runtime) already at this pid only if it is
+    // the same process: its runtime was built for this name, pid and uid.
+    if (slot == processes_.size()) {
+      processes_.push_back(std::make_unique<Process>());
+    } else if (processes_[slot]->name != name || processes_[slot]->uid != uid) {
+      processes_[slot] = std::make_unique<Process>();
+    }
+    Process& proc = *processes_[slot];
+    proc.pid = pid;
+    proc.uid = uid;
+    if (proc.name != name) proc.name = name;
     proc.alive = in.Bool();
     proc.critical = in.Bool();
     proc.oom_score_adj = static_cast<int>(in.I64());
@@ -240,23 +255,19 @@ void Kernel::RestoreState(snapshot::Deserializer& in) {
     proc.fd_limit = static_cast<int>(in.I64());
     proc.start_time_us = in.U64();
     if (in.Bool()) {
-      rt::Runtime::Config rt_config;
-      rt_config.name = StrCat(proc.name, "(", proc.pid.value(), ")");
-      rt_config.max_global_refs = static_cast<std::size_t>(in.U64());
-      rt_config.boot_class_refs = 0;  // RestoreState replaces everything
-      rt_config.obs =
-          obs::Source{&bus_, proc.pid.value(), proc.uid.value()};
-      proc.runtime = std::make_unique<rt::Runtime>(&clock_, rt_config);
-      proc.runtime->RestoreState(in);
-      const Pid pid = proc.pid;
-      proc.runtime->SetAbortHandler([this, pid](const std::string& reason) {
-        KillProcess(pid, StrCat("runtime abort: ", reason));
-      });
+      RestoreRuntime(in, ctx, slot, proc);
+    } else {
+      proc.runtime.reset();
+      proc.restored_epoch = Process::kNoEpoch;
+      if (ctx.record_runtime_spans != nullptr) {
+        ctx.record_runtime_spans->push_back({});
+      }
     }
-    if (in.ok()) {
-      processes_.push_back(std::make_unique<Process>(std::move(proc)));
-    }
+    if (!in.ok()) break;
   }
+  // Processes started since the checkpoint (and, after a failed read, the
+  // one left half-written) leave the table.
+  processes_.resize(restored);
   live_count_ = static_cast<std::size_t>(in.U64());
   used_memory_kb_ = in.I64();
   if (in.Bool()) {
@@ -273,8 +284,47 @@ void Kernel::RestoreState(snapshot::Deserializer& in) {
   }
 }
 
-void Kernel::LogEvent(const std::string& what) {
-  events_.push_back(Event{clock_.NowUs(), what});
+void Kernel::RestoreRuntime(snapshot::Deserializer& in,
+                            const snapshot::RestoreContext& ctx,
+                            std::size_t slot, Process& proc) {
+  const std::size_t max_globals = static_cast<std::size_t>(in.U64());
+  const std::size_t begin = in.pos();
+  if (proc.runtime != nullptr &&
+      proc.runtime->vm().MaxGlobals() != max_globals) {
+    proc.runtime.reset();
+  }
+  if (proc.runtime == nullptr) {
+    rt::Runtime::Config rt_config;
+    rt_config.name = StrCat(proc.name, "(", proc.pid.value(), ")");
+    rt_config.max_global_refs = max_globals;
+    rt_config.boot_class_refs = 0;  // RestoreState replaces everything
+    rt_config.obs = obs::Source{&bus_, proc.pid.value(), proc.uid.value()};
+    proc.runtime = std::make_unique<rt::Runtime>(&clock_, rt_config);
+    const Pid pid = proc.pid;
+    proc.runtime->SetAbortHandler([this, pid](const std::string& reason) {
+      KillProcess(pid, StrCat("runtime abort: ", reason));
+    });
+    proc.restored_epoch = Process::kNoEpoch;
+  } else {
+    proc.runtime->ResetWiring();
+  }
+  const snapshot::ByteSpan* span =
+      ctx.runtime_spans != nullptr && slot < ctx.runtime_spans->size()
+          ? &(*ctx.runtime_spans)[slot]
+          : nullptr;
+  if (ctx.same_payload && span != nullptr && span->begin == begin &&
+      span->end > begin &&
+      proc.restored_epoch == proc.runtime->MutationEpoch()) {
+    // Nothing touched this runtime since the last restore from this very
+    // payload wrote it: it already holds the section's state.
+    in.SkipTo(span->end);
+  } else {
+    proc.runtime->RestoreState(in);
+  }
+  proc.restored_epoch = proc.runtime->MutationEpoch();
+  if (ctx.record_runtime_spans != nullptr) {
+    ctx.record_runtime_spans->push_back({begin, in.pos()});
+  }
 }
 
 void Kernel::CheckMemoryPressure() {

@@ -130,24 +130,28 @@ class Kernel {
   void SetLowMemoryKiller(std::unique_ptr<LowMemoryKiller> lmk);
   LowMemoryKiller* lmk() { return lmk_.get(); }
 
-  // Kernel event log (process starts/kills/reboots) for test assertions.
-  struct Event {
-    TimeUs time_us;
-    std::string what;
-  };
-  const std::vector<Event>& events() const { return events_; }
-
   // Checkpointing: clock, RNG, bus interner, and the whole process table
-  // (including each process's runtime state) round-trip; restore replaces
-  // the table wholesale and re-attaches abort handlers. Death listeners,
+  // (including each process's runtime state) round-trip. Death listeners,
   // procfs providers, and the LMK instance are wiring owned by the facade
-  // and survive untouched. The diagnostic `events()` log is not serialized.
+  // and survive untouched.
+  //
+  // Restore works in place. A process the table already holds at the same
+  // pid with the same name and uid keeps its Process and Runtime objects,
+  // whose state is overwritten (Runtime::ResetWiring drops what owners
+  // re-attach); processes started since the checkpoint are dropped. With
+  // `ctx.same_payload`, a runtime whose mutation epoch still reads what the
+  // last restore recorded is not read at all: the restore jumps over its
+  // section (`ctx.runtime_spans`).
   void SaveState(snapshot::Serializer& out) const;
-  void RestoreState(snapshot::Deserializer& in);
+  void RestoreState(snapshot::Deserializer& in,
+                    const snapshot::RestoreContext& ctx = {});
 
  private:
-  void LogEvent(const std::string& what);
   void CheckMemoryPressure();
+  // Restores one process's runtime section into `proc` (index `slot`).
+  void RestoreRuntime(snapshot::Deserializer& in,
+                      const snapshot::RestoreContext& ctx, std::size_t slot,
+                      Process& proc);
 
   Config config_;
   SimClock clock_;
@@ -159,8 +163,9 @@ class Kernel {
 
   // Pids are dense (1, 2, 3, ...) and processes are never erased — dead ones
   // only lose their runtime — so the process table is a flat vector indexed
-  // by pid - 1. unique_ptr keeps Process* stable across table growth
-  // (FindProcess results are held across calls that create processes).
+  // by pid - 1 (a restore truncates it to the checkpoint's table).
+  // unique_ptr keeps Process* stable across table growth (FindProcess
+  // results are held across calls that create processes).
   std::int32_t next_pid_ = 1;
   std::vector<std::unique_ptr<Process>> processes_;
   std::size_t live_count_ = 0;
@@ -170,7 +175,6 @@ class Kernel {
   std::optional<std::string> pending_soft_reboot_;
   std::int64_t soft_reboot_count_ = 0;
   std::unique_ptr<LowMemoryKiller> lmk_;
-  std::vector<Event> events_;
 };
 
 }  // namespace jgre::os

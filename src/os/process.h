@@ -42,6 +42,10 @@ struct Process {
   TimeUs start_time_us = 0;
   // Present for Android (Java) processes, absent for native daemons.
   std::unique_ptr<rt::Runtime> runtime;
+  // runtime->MutationEpoch() right after the last checkpoint restore wrote
+  // (or kept) the runtime; kNoEpoch for a runtime no restore has written.
+  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+  std::uint64_t restored_epoch = kNoEpoch;
 
   bool HasRuntime() const { return runtime != nullptr; }
 };

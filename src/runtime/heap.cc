@@ -6,6 +6,7 @@ namespace jgre::rt {
 
 ObjectId Heap::PushObject(ObjectKind kind, StringInterner::Id label) {
   const ObjectId id{next_id_++};
+  ++epoch_;
   kind_.push_back(static_cast<std::uint8_t>(kind));
   holds_.push_back(0);
   label_.push_back(label);
@@ -32,6 +33,7 @@ ObjectId Heap::Alloc(ObjectKind kind, std::string_view label_prefix,
 
 void Heap::Free(ObjectId id) {
   if (!IsAlive(id)) return;
+  ++epoch_;
   const std::size_t slot = SlotOf(id);
   kind_[slot] = 0;
   holds_[slot] = kDeadSlot;
@@ -53,6 +55,7 @@ std::vector<ObjectId> Heap::UnheldObjects() const {
 void Heap::TakeUnheldCandidates(std::vector<ObjectId>* out) {
   out->clear();
   if (unheld_candidates_.empty()) return;
+  ++epoch_;
   // Allocation-order transitions arrive ascending already; skip the sort
   // for that common case (garbage minted in id order, swept in id order).
   if (!std::is_sorted(unheld_candidates_.begin(),
@@ -88,6 +91,7 @@ void Heap::SaveState(snapshot::Serializer& out) const {
 
 void Heap::RestoreState(snapshot::Deserializer& in) {
   in.Marker(0x48454132);
+  ++epoch_;
   next_id_ = in.I64();
   labels_.RestoreState(in);
   kind_.clear();

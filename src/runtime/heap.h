@@ -68,9 +68,11 @@ class Heap {
   void AddHold(ObjectId id) {
     assert(IsAlive(id));
     ++holds_[SlotOf(id)];
+    ++epoch_;
   }
   void RemoveHold(ObjectId id) {
     if (!IsAlive(id)) return;  // already collected
+    ++epoch_;
     std::int32_t& holds = holds_[SlotOf(id)];
     assert(holds > 0 && "hold underflow");
     if (--holds == 0) unheld_candidates_.push_back(id);
@@ -102,6 +104,7 @@ class Heap {
   void SetManagedRef(ObjectId id, HeapIndirectRef ref) {
     assert(IsAlive(id));
     managed_ref_[SlotOf(id)] = ref;
+    ++epoch_;
   }
   HeapIndirectRef ManagedRef(ObjectId id) const {
     assert(IsAlive(id));
@@ -110,6 +113,7 @@ class Heap {
   void SetWeakRef(ObjectId id, HeapIndirectRef ref) {
     assert(IsAlive(id));
     weak_ref_[SlotOf(id)] = ref;
+    ++epoch_;
   }
   HeapIndirectRef WeakRef(ObjectId id) const {
     assert(IsAlive(id));
@@ -118,6 +122,7 @@ class Heap {
   void SetProxyNode(ObjectId id, NodeId node) {
     assert(IsAlive(id));
     node_[SlotOf(id)] = node.value();
+    ++epoch_;
   }
   NodeId ProxyNode(ObjectId id) const {
     assert(IsAlive(id));
@@ -155,6 +160,11 @@ class Heap {
   std::size_t LiveCount() const { return live_count_; }
   std::int64_t total_allocated() const { return next_id_ - 1; }
 
+  // Bumped by every change to the heap's state, restores included; never
+  // restored itself. Equal readings bracket a stretch in which the heap did
+  // not change (snapshot::SystemSnapshot::RewindInto skips such runtimes).
+  std::uint64_t mutation_epoch() const { return epoch_; }
+
   // Checkpointing: the label interner plus the live objects' columns in
   // ascending id order; restore replaces the heap contents wholesale
   // (including the allocation cursor) and rebuilds the candidate list from
@@ -175,6 +185,7 @@ class Heap {
 
   std::int64_t next_id_ = 1;
   std::size_t live_count_ = 0;
+  std::uint64_t epoch_ = 0;
   // Struct-of-arrays columns, slot = id - 1.
   std::vector<std::uint8_t> kind_;
   std::vector<std::int32_t> holds_;

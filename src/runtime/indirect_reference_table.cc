@@ -64,6 +64,7 @@ Result<IndirectRef> IndirectReferenceTable::Add(Cookie cookie, ObjectId obj) {
     slot.active = true;
     ++live_entries_;
     ++total_adds_;
+    ++epoch_;
     return EncodeRef(slot_index, slot.serial);
   }
   if (top_index_ >= max_entries_) {
@@ -80,6 +81,7 @@ Result<IndirectRef> IndirectReferenceTable::Add(Cookie cookie, ObjectId obj) {
   slot.active = true;
   ++live_entries_;
   ++total_adds_;
+  ++epoch_;
   return EncodeRef(slot_index, slot.serial);
 }
 
@@ -97,6 +99,7 @@ bool IndirectReferenceTable::Remove(Cookie cookie, IndirectRef ref) {
   ++hole_count_;
   --live_entries_;
   ++total_removes_;
+  ++epoch_;
   return true;
 }
 
@@ -116,6 +119,7 @@ Result<ObjectId> IndirectReferenceTable::Get(IndirectRef ref) const {
 
 IndirectReferenceTable::Cookie IndirectReferenceTable::PushFrame() {
   const Cookie cookie = static_cast<Cookie>(top_index_);
+  ++epoch_;
   segment_stack_.push_back(FrameState{segment_start_, free_head_});
   segment_start_ = cookie;
   free_head_ = kNoFreeSlot;  // inner frames never reuse outer frames' holes
@@ -124,6 +128,7 @@ IndirectReferenceTable::Cookie IndirectReferenceTable::PushFrame() {
 
 void IndirectReferenceTable::PopFrame(Cookie cookie) {
   assert(cookie == segment_start_ && "unbalanced PopFrame");
+  ++epoch_;
   for (std::size_t i = cookie; i < top_index_; ++i) {
     if (slots_[i].active) {
       slots_[i].active = false;
@@ -178,6 +183,7 @@ void IndirectReferenceTable::SaveState(snapshot::Serializer& out) const {
 
 void IndirectReferenceTable::RestoreState(snapshot::Deserializer& in) {
   in.Marker(0x49525431);
+  ++epoch_;
   const std::uint64_t max_entries = in.U64();
   const auto kind = static_cast<IndirectRefKind>(in.U8());
   if (in.ok() && (max_entries != max_entries_ || kind != kind_)) {

@@ -92,6 +92,10 @@ class IndirectReferenceTable {
   // Number of reusable holes across all segments (observability).
   std::size_t HoleCount() const { return hole_count_; }
 
+  // Bumped by every change to the table (adds, removes, frame pushes and
+  // pops, restores); never restored itself, like Heap::mutation_epoch.
+  std::uint64_t mutation_epoch() const { return epoch_; }
+
   // Checkpointing: serializes slots, serials, the threaded free list, and
   // the segment stack, so restored references (and the slot-reuse order of
   // subsequent Add calls) are identical to the original table's. Restore
@@ -139,6 +143,7 @@ class IndirectReferenceTable {
 
   std::int64_t total_adds_ = 0;
   std::int64_t total_removes_ = 0;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace jgre::rt

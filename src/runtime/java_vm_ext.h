@@ -81,6 +81,13 @@ class JavaVMExt {
     aborted_ = in.Bool();
   }
 
+  // Moves with every change to either table or the abort flag; see
+  // Heap::mutation_epoch.
+  std::uint64_t mutation_epoch() const {
+    return globals_.mutation_epoch() + weak_globals_.mutation_epoch() +
+           (aborted_ ? 1 : 0);
+  }
+
   std::int64_t total_global_adds() const { return globals_.total_adds(); }
   std::int64_t total_global_removes() const {
     return globals_.total_removes();

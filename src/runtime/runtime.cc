@@ -104,6 +104,7 @@ Result<ObjectId> Runtime::AllocManagedObject(ObjectKind kind,
 std::size_t Runtime::CollectGarbage() {
   if (aborted()) return 0;
   ++gc_runs_;
+  ++epoch_;
   const TimeUs gc_start = clock_->NowUs();
   clock_->AdvanceUs(gc_pause_us);
   std::size_t released = 0;
@@ -168,6 +169,7 @@ void Runtime::SaveState(snapshot::Serializer& out) const {
 
 void Runtime::RestoreState(snapshot::Deserializer& in) {
   in.Marker(0x52544D32);
+  ++epoch_;
   heap_.RestoreState(in);
   vm_.RestoreState(in);
   locals_.RestoreState(in);

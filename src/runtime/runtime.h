@@ -137,10 +137,31 @@ class Runtime {
   // attachments), both VM tables, and locals; the proxy cache is rebuilt by
   // scanning the restored heap. The abort handler and proxy-collect handler
   // are wiring (kernel and binder driver re-attach them on restore), not
-  // state.
+  // state. RestoreState writes into the capacity the runtime already has,
+  // so the kernel can restore a checkpoint into a runtime it keeps.
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
 
+  // Moves with every change to the runtime's checkpointed state (heap, JNI
+  // tables, GC bookkeeping); never restored itself. The kernel records it
+  // after a restore: an unchanged reading at the next restore from the same
+  // checkpoint proves the runtime still holds exactly that state.
+  std::uint64_t MutationEpoch() const {
+    return epoch_ + heap_.mutation_epoch() + vm_.mutation_epoch() +
+           locals_.mutation_epoch();
+  }
+
+  // Drops the wiring an owner attaches after construction (the binder
+  // driver's proxy-collect handler, weak-table event emission), so a runtime
+  // the kernel keeps across a restore starts out like a freshly built one.
+  // The abort handler stays: it names the same kernel and pid.
+  void ResetWiring() {
+    proxy_collect_handler_ = nullptr;
+    vm_.SetWeakEventEmission(false);
+  }
+
+  // Set at construction time only; it is checkpointed, but MutationEpoch
+  // does not track writes to it.
   DurationUs gc_pause_us = 2000;
 
  private:
@@ -151,6 +172,7 @@ class Runtime {
   IndirectReferenceTable locals_;
   int local_frame_depth_ = 0;
   std::int64_t gc_runs_ = 0;
+  std::uint64_t epoch_ = 0;  // GC runs and restores; see MutationEpoch
 
   // node -> live proxy object id (BinderProxy cache), dense over node ids
   // (0 = no cached proxy; object ids start at 1). The reverse direction and

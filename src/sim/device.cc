@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "common/log.h"
 #include "common/strings.h"
 #include "obs/chrome_trace.h"
 #include "snapshot/serializer.h"
@@ -47,7 +48,15 @@ std::uint64_t PrefixKey(const DeviceSpec& spec) {
 
 std::unique_ptr<core::AndroidSystem> RestorePrefix(
     const DeviceSpec& spec, const snapshot::SystemSnapshot& image,
-    std::string_view context) {
+    std::string_view context, std::unique_ptr<core::AndroidSystem> rewind) {
+  if (rewind != nullptr && image.CanRewind(*rewind)) {
+    Status rewound = image.RewindInto(rewind.get());
+    if (rewound.ok()) return rewind;
+    JGRE_LOG(kWarning, "RestorePrefix")
+        << context << ": rewind failed, restoring fresh: "
+        << rewound.ToString();
+  }
+  rewind.reset();
   std::unique_ptr<core::AndroidSystem> system = BootFresh(spec);
   Status restored = image.RestoreInto(system.get());
   if (!restored.ok()) {

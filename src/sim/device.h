@@ -185,13 +185,19 @@ class DeviceSpec {
 std::uint64_t PrefixKey(const DeviceSpec& spec);
 
 // The one reset primitive: rebuilds `spec`'s prefix system from `image`, a
-// checkpoint of a prefix with the same PrefixKey. Boots a fresh system from
-// the spec's system config and boot seed, then restores the image into it.
-// Throws std::runtime_error("<context>: restore failed: ...") on failure, so
-// the caller's context names the shard or device that hit it.
+// checkpoint of a prefix with the same PrefixKey. Given `rewind` — a system
+// an earlier reset from this image returned and executions have since
+// driven — it rewinds that system in place when the image can do so exactly
+// (SystemSnapshot::CanRewind) and returns it. Otherwise, and if the rewind
+// fails, `rewind` is destroyed, never reused: the fresh path boots a new
+// system from the spec's system config and boot seed and restores the image
+// into it. Throws std::runtime_error("<context>: restore failed: ...") when
+// the fresh restore fails, so the caller's context names the shard or
+// device that hit it.
 std::unique_ptr<core::AndroidSystem> RestorePrefix(
     const DeviceSpec& spec, const snapshot::SystemSnapshot& image,
-    std::string_view context);
+    std::string_view context,
+    std::unique_ptr<core::AndroidSystem> rewind = nullptr);
 
 // One live simulated device. Owns every piece of per-device state; never
 // shares interned tables, observability sinks, or RNG streams with another

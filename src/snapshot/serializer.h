@@ -18,6 +18,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -92,11 +93,14 @@ class Deserializer {
   std::uint64_t U64() { return ReadLe<std::uint64_t>(); }
   std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
   double F64() { return std::bit_cast<double>(U64()); }
-  std::string Str() {
+  std::string Str() { return std::string(StrView()); }
+  // The next string as a view into the payload (valid while the payload
+  // is), for restores that only compare it against what they already hold.
+  std::string_view StrView() {
     const std::uint64_t n = U64();
     if (!Need(n)) return {};
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(n));
+    std::string_view s(reinterpret_cast<const char*>(data_ + pos_),
+                       static_cast<std::size_t>(n));
     pos_ += static_cast<std::size_t>(n);
     return s;
   }
@@ -121,6 +125,17 @@ class Deserializer {
     v.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(I64());
     return v;
+  }
+
+  // Moves the cursor forward to `pos`, skipping a section the caller knows
+  // it already holds; fails the stream if `pos` is behind the cursor or
+  // past the end.
+  void SkipTo(std::size_t pos) {
+    if (pos < pos_) {
+      Fail("skip target behind the cursor");
+      return;
+    }
+    if (Need(pos - pos_)) pos_ = pos;
   }
 
   bool ok() const { return ok_; }
@@ -159,6 +174,28 @@ class Deserializer {
   std::size_t pos_ = 0;
   bool ok_ = true;
   std::string error_;
+};
+
+// Byte range [begin, end) of one section of a checkpoint payload.
+struct ByteSpan {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+// What a whole-system restore tells the module hooks that can restore in
+// place (snapshot::SystemSnapshot::RewindInto). The default is a plain
+// restore: every section is read.
+struct RestoreContext {
+  // The runtime section of each process in the payload being read, indexed
+  // by pid - 1 (an empty span for a process without a runtime). Derived in
+  // memory from an earlier restore of the same payload; null until then.
+  const std::vector<ByteSpan>* runtime_spans = nullptr;
+  // When set, filled with those spans as the restore reads the payload.
+  std::vector<ByteSpan>* record_runtime_spans = nullptr;
+  // The target was last restored from this very payload, so a runtime whose
+  // mutation epoch has not moved since then still holds its section's state
+  // and may be skipped.
+  bool same_payload = false;
 };
 
 // Serializes an unordered associative container in ascending key order, so

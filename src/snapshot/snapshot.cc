@@ -85,11 +85,38 @@ Result<SystemSnapshot> SystemSnapshot::Capture(
   snap.manifest_.content_hash = out.Hash();
   snap.manifest_.byte_size = out.size();
   snap.payload_ = out.TakeBuffer();
+  snap.InitIdentity();
   return snap;
+}
+
+void SystemSnapshot::InitIdentity() {
+  static std::atomic<std::uint64_t> next_id{1};
+  id_ = next_id.fetch_add(1, std::memory_order_relaxed);
+  index_ = std::make_shared<RuntimeIndex>();
 }
 
 Status SystemSnapshot::RestoreInto(core::AndroidSystem* system,
                                    defense::JgreDefender* defender) const {
+  return Restore(system, defender, /*rewind=*/false);
+}
+
+Status SystemSnapshot::RewindInto(core::AndroidSystem* system) const {
+  if (!system->Rewindable()) {
+    return FailedPrecondition(
+        "system cannot be rewound in place: it was never restored, or it "
+        "soft-rebooted, lost a boot binder, gained a service, or has hooks "
+        "installed");
+  }
+  return Restore(system, nullptr, /*rewind=*/true);
+}
+
+bool SystemSnapshot::CanRewind(const core::AndroidSystem& system) const {
+  return id_ != 0 && system.restored_image_ == id_ && system.Rewindable();
+}
+
+Status SystemSnapshot::Restore(core::AndroidSystem* system,
+                               defense::JgreDefender* defender,
+                               bool rewind) const {
   if (system->config().seed != manifest_.seed) {
     return InvalidArgument(
         StrCat("checkpoint was captured from seed ", manifest_.seed,
@@ -103,7 +130,18 @@ Status SystemSnapshot::RestoreInto(core::AndroidSystem* system,
     return InvalidArgument(
         "checkpoint carries defender state: pass the installed defender");
   }
-  system->RestoreState(in);
+  RestoreContext ctx;
+  std::vector<ByteSpan> spans;
+  const bool indexed =
+      index_ != nullptr && index_->ready.load(std::memory_order_acquire);
+  if (indexed) {
+    ctx.runtime_spans = &index_->spans;
+  } else {
+    ctx.record_runtime_spans = &spans;
+  }
+  ctx.same_payload = id_ != 0 && system->restored_image_ == id_;
+  system->restored_image_ = 0;  // set again only once the restore succeeds
+  system->RestoreState(in, ctx);
   if (has_defender && in.ok()) defender->RestoreState(in);
   if (!in.ok()) {
     return Internal(
@@ -114,6 +152,15 @@ Status SystemSnapshot::RestoreInto(core::AndroidSystem* system,
         "corrupt checkpoint: trailing bytes after the payload [",
         DescribeSource(), "]"));
   }
+  if (!indexed && index_ != nullptr) {
+    std::lock_guard<std::mutex> lock(index_->mu);
+    if (!index_->ready.load(std::memory_order_relaxed)) {
+      index_->spans = std::move(spans);
+      index_->ready.store(true, std::memory_order_release);
+    }
+  }
+  system->restored_image_ = id_;
+  if (rewind) ++system->rewinds_;
   return Status::Ok();
 }
 
@@ -179,6 +226,7 @@ Result<SystemSnapshot> SystemSnapshot::ReadFile(const std::string& path) {
   snap.manifest_.content_hash = computed_hash;
   snap.manifest_.byte_size = snap.payload_.size();
   snap.source_path_ = path;
+  snap.InitIdentity();
   return snap;
 }
 

@@ -16,7 +16,10 @@
 #ifndef JGRE_SNAPSHOT_SNAPSHOT_H_
 #define JGRE_SNAPSHOT_SNAPSHOT_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,6 +72,25 @@ class SystemSnapshot {
   Status RestoreInto(core::AndroidSystem* system,
                      defense::JgreDefender* defender = nullptr) const;
 
+  // Rewinds a system that was restored from a checkpoint and then driven
+  // (executions, app installs, GCs) back to this checkpoint in place,
+  // instead of booting a new system and restoring into it. The system keeps
+  // its objects: processes and runtimes are reused by pid and overwritten,
+  // heap/IRT/interner restores write into the capacity they have, processes
+  // and binder nodes created since are dropped, and placeholder binders are
+  // reused by node id. A runtime is not read at all when its mutation epoch
+  // proves nothing changed it since the last restore from this image; the
+  // restore then jumps over its bytes using a per-process section index
+  // derived in memory by the first restore of this image.
+  //
+  // Requires system->Rewindable() (FailedPrecondition otherwise). A non-OK
+  // result leaves the system half-restored: discard it. Rewinding from the
+  // image the system was last restored from (CanRewind) is exact — byte for
+  // byte what a fresh RestoreInto yields; sim::RestorePrefix falls back to
+  // the fresh path for every other system.
+  Status RewindInto(core::AndroidSystem* system) const;
+  bool CanRewind(const core::AndroidSystem& system) const;
+
   // Binary checkpoint at `path` plus the JSON manifest sidecar at
   // `path` + ".manifest.json".
   Status WriteFile(const std::string& path) const;
@@ -92,8 +114,26 @@ class SystemSnapshot {
   static constexpr const char* kManifestSuffix = ".manifest.json";
 
  private:
+  // Per-process runtime sections of the payload (RestoreContext), derived
+  // by the first successful restore and shared by copies of the snapshot.
+  struct RuntimeIndex {
+    std::mutex mu;
+    std::atomic<bool> ready{false};
+    std::vector<ByteSpan> spans;  // immutable once ready
+  };
+
+  // Gives a newly built image its identity and an empty index.
+  void InitIdentity();
+  Status Restore(core::AndroidSystem* system, defense::JgreDefender* defender,
+                 bool rewind) const;
+
   SnapshotManifest manifest_;
   std::vector<std::uint8_t> payload_;
+  // Process-unique identity of the payload (0: empty snapshot); copies of
+  // the snapshot share it, and a system remembers the identity of the image
+  // it was last restored from.
+  std::uint64_t id_ = 0;
+  std::shared_ptr<RuntimeIndex> index_;
   // Last persisted location; bookkeeping only, so the const WriteFile can
   // record it.
   mutable std::string source_path_;

@@ -18,7 +18,10 @@
 #include "fuzz/oracle.h"
 #include "harness/branch_runner.h"
 #include "model/corpus.h"
+#include "obs/event.h"
 #include "services/registry_service.h"
+#include "sim/device.h"
+#include "snapshot/snapshot.h"
 
 namespace jgre {
 namespace {
@@ -219,6 +222,102 @@ TEST_F(FuzzTest, OracleClearsKnownBenignInterface) {
   EXPECT_EQ(verdict.kind, fuzz::ExhaustionKind::kNone) << benign->id;
   EXPECT_LT(verdict.jgr_growth_per_call,
             model::kDefaultGrowthThresholds.bounded_jgr_per_call);
+}
+
+// Rewind equivalence: a sequence replayed on a pooled system that was
+// rewound in place must behave event for event like the same sequence on a
+// freshly restored system — the contract that lets a campaign reuse one
+// booted system per worker. Two probes break the system they run on: one
+// aborts an app-hosted victim (its boot binders die with it) and one
+// soft-reboots system_server. The pool must not rewind either, so the reset
+// after each takes the fresh path.
+TEST_F(FuzzTest, RewoundSystemsReplayLikeFreshOnes) {
+  sim::DeviceSpec prefix;
+  prefix.WithSeed(42).WithWarmup(8, 2'000'000, 200'000);
+  harness::BranchRunner runner(prefix, harness::BranchOptions{});
+  ASSERT_TRUE(runner.Prepare().ok());
+  const snapshot::SystemSnapshot& image = *runner.snapshot();
+
+  struct Case {
+    fuzz::Sequence seq;
+    int repeat = 0;  // > 0: ExecuteRepeated of the one call
+    bool breaks_system = false;
+  };
+  fuzz::Mutator mutator(model_, *live_services_);
+  Rng rng(2024);
+  std::vector<Case> cases;
+  for (int i = 0; i < 50; ++i) {
+    Case c;
+    c.seq = i >= 10 && i % 2 == 1 ? mutator.Mutate(cases[i - 10].seq, rng)
+                                  : mutator.Generate(rng);
+    cases.push_back(std::move(c));
+  }
+  // picotts setCallback keeps both binders (4 JGRs per call) in
+  // com.svox.pico, so enough fresh-binder calls overflow the app's table.
+  const model::JavaMethodModel* pico = FindMethod("picotts", "setCallback");
+  // addFile dups a descriptor into system_server per call and never closes
+  // it: past RLIMIT_NOFILE system_server dies and the device soft-reboots.
+  const model::JavaMethodModel* fd_sink = FindMethod("assetatlas", "addFile");
+  ASSERT_NE(pico, nullptr);
+  ASSERT_NE(fd_sink, nullptr);
+  Case abort_app;
+  abort_app.seq.calls.push_back(mutator.MakeCall(*pico, rng));
+  for (fuzz::ArgValue& arg : abort_app.seq.calls.front().args) {
+    if (arg.kind == services::ArgKind::kBinder) arg.fresh_binder = true;
+  }
+  abort_app.repeat = 13'000;
+  abort_app.breaks_system = true;
+  cases.insert(cases.begin() + 20, std::move(abort_app));
+  Case reboot;
+  reboot.seq.calls.push_back(mutator.MakeCall(*fd_sink, rng));
+  reboot.repeat = 1'100;
+  reboot.breaks_system = true;
+  cases.insert(cases.begin() + 40, std::move(reboot));
+
+  const fuzz::SequenceExecutor executor = MakeExecutor();
+  const auto run = [&](core::AndroidSystem& system, const Case& c,
+                       snapshot::EventTape* tape) {
+    system.kernel().bus().Subscribe(tape, obs::kAllCategories);
+    fuzz::ExecOutcome outcome =
+        c.repeat > 0
+            ? executor.ExecuteRepeated(system, c.seq.calls.front(), c.repeat)
+            : executor.Execute(system, c.seq);
+    system.kernel().bus().Unsubscribe(tape);
+    return outcome;
+  };
+
+  int rewound = 0;
+  bool expect_fresh = true;  // nothing is pooled before the first reset
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    std::unique_ptr<core::AndroidSystem> pooled = runner.RestoreBranchSystem(i);
+    std::unique_ptr<core::AndroidSystem> fresh =
+        sim::RestorePrefix(prefix, image, "fresh");
+    EXPECT_EQ(pooled->rewinds() > 0, !expect_fresh) << "case " << i;
+    if (pooled->rewinds() > 0) ++rewound;
+
+    snapshot::EventTape pooled_tape, fresh_tape;
+    const fuzz::ExecOutcome a = run(*pooled, cases[i], &pooled_tape);
+    const fuzz::ExecOutcome b = run(*fresh, cases[i], &fresh_tape);
+    const auto divergence =
+        snapshot::FirstDivergence(fresh_tape.events(), pooled_tape.events());
+    EXPECT_FALSE(divergence.has_value())
+        << "case " << i << ": " << (divergence ? divergence->description : "");
+    EXPECT_FALSE(pooled_tape.events().empty()) << "case " << i;
+    EXPECT_EQ(a.obs.calls, b.obs.calls) << "case " << i;
+    EXPECT_EQ(a.obs.jgr_before, b.obs.jgr_before) << "case " << i;
+    EXPECT_EQ(a.obs.jgr_after, b.obs.jgr_after) << "case " << i;
+    EXPECT_EQ(a.obs.fd_before, b.obs.fd_before) << "case " << i;
+    EXPECT_EQ(a.obs.fd_after, b.obs.fd_after) << "case " << i;
+    EXPECT_EQ(a.obs.victim_aborted, b.obs.victim_aborted) << "case " << i;
+    EXPECT_EQ(a.elements, b.elements) << "case " << i;
+
+    const bool breaks = cases[i].breaks_system;
+    EXPECT_EQ(a.obs.victim_aborted, breaks) << "case " << i;
+    EXPECT_EQ(image.CanRewind(*pooled), !breaks) << "case " << i;
+    expect_fresh = breaks;
+    runner.RecycleBranchSystem(std::move(pooled));
+  }
+  EXPECT_EQ(rewound, static_cast<int>(cases.size()) - 3);
 }
 
 TEST(FuzzOracleUnitTest, ScreenAndConfirmThresholds) {

@@ -4,8 +4,10 @@
 // a restored simulation continues byte-identically to a cold run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,8 @@
 #include "obs/event.h"
 #include "runtime/heap.h"
 #include "runtime/indirect_reference_table.h"
+#include "runtime/runtime.h"
+#include "services/clipboard_service.h"
 #include "sim/device.h"
 #include "snapshot/serializer.h"
 #include "snapshot/snapshot.h"
@@ -207,8 +211,34 @@ sim::DeviceSpec SmallScenario(std::uint64_t seed) {
   return spec;
 }
 
+// Drives a restored system the way one fuzz execution does: a new app
+// registers `calls` fresh clipboard listeners (each pinning system_server
+// JGRs and a death link), then every runtime is collected.
+void Drive(core::AndroidSystem& system, int calls) {
+  services::AppProcess* app = system.InstallApp("com.rewind.driver");
+  auto clipboard = app->GetService(services::ClipboardService::kName,
+                                   services::ClipboardService::kDescriptor);
+  ASSERT_TRUE(clipboard.ok()) << clipboard.status().ToString();
+  for (int i = 0; i < calls; ++i) {
+    Status status = clipboard.value().Call(
+        services::ClipboardService::TRANSACTION_addPrimaryClipChangedListener,
+        [&](binder::Parcel& p) { p.WriteStrongBinder(app->NewBinder("l")); });
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
+  system.CollectAllGarbage();
+}
+
+std::vector<std::uint8_t> CapturePayload(core::AndroidSystem& system) {
+  auto captured = snapshot::SystemSnapshot::Capture(system);
+  EXPECT_TRUE(captured.ok()) << captured.status().ToString();
+  return captured.ok() ? captured.value().payload()
+                       : std::vector<std::uint8_t>();
+}
+
 // Capture → restore into a fresh boot → capture again must produce the
 // exact same payload bytes: restore loses nothing the serializer can see.
+// The same holds after the restored system is driven and rewound in place,
+// twice (the second rewind skips the runtimes nothing touched).
 TEST(SystemSnapshotTest, CaptureRestoreCaptureIsByteStable) {
   sim::DeviceSpec config = SmallScenario(42);
   std::unique_ptr<core::AndroidSystem> prefix =
@@ -234,6 +264,176 @@ TEST(SystemSnapshotTest, CaptureRestoreCaptureIsByteStable) {
   EXPECT_EQ(snap.manifest().content_hash,
             recaptured.value().manifest().content_hash);
   EXPECT_EQ(snap.payload(), recaptured.value().payload());
+
+  for (int round = 1; round <= 2; ++round) {
+    const std::size_t jgr_before = restored.SystemServerJgrCount();
+    Drive(restored, 20);
+    ASSERT_GT(restored.SystemServerJgrCount(), jgr_before);
+    ASSERT_TRUE(snap.CanRewind(restored));
+    status = snap.RewindInto(&restored);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(restored.rewinds(), round);
+    EXPECT_EQ(restored.SystemServerJgrCount(), jgr_before);
+    EXPECT_TRUE(CapturePayload(restored) == snap.payload())
+        << "round " << round;
+  }
+}
+
+// An image is rewound only into a system it restored and that carries
+// nothing the checkpoint cannot rewind.
+TEST(SystemSnapshotTest, RewindRequiresAPlainSystemRestoredFromTheImage) {
+  sim::DeviceSpec config = SmallScenario(42);
+  std::unique_ptr<core::AndroidSystem> prefix =
+      sim::DeviceFactory(config).BootPrefix();
+  auto captured = snapshot::SystemSnapshot::Capture(*prefix);
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  const snapshot::SystemSnapshot& snap = captured.value();
+  EXPECT_FALSE(prefix->Rewindable()) << "never restored";
+  EXPECT_EQ(snap.RewindInto(prefix.get()).code(),
+            StatusCode::kFailedPrecondition);
+
+  std::unique_ptr<core::AndroidSystem> system =
+      sim::RestorePrefix(config, snap, "rewind test");
+  EXPECT_TRUE(snap.CanRewind(*system));
+  auto other = snapshot::SystemSnapshot::Capture(*system);
+  ASSERT_TRUE(other.ok());
+  EXPECT_FALSE(other.value().CanRewind(*system)) << "a different image";
+
+  snapshot::EventTape tape;
+  system->kernel().bus().Subscribe(&tape, obs::kAllCategories);
+  EXPECT_FALSE(snap.CanRewind(*system)) << "a foreign bus subscriber";
+  system->kernel().bus().Unsubscribe(&tape);
+  system->driver().SetTransactGate(
+      [](const binder::BinderDriver::TransactInfo&) { return Status::Ok(); });
+  EXPECT_FALSE(snap.CanRewind(*system)) << "a transact gate";
+  system->driver().SetTransactGate(nullptr);
+  system->SetPumpExtension([] {});
+  EXPECT_FALSE(snap.CanRewind(*system)) << "a pump hook";
+  system->SetPumpExtension(nullptr);
+  EXPECT_TRUE(snap.CanRewind(*system));
+
+  // A fresh restore into the pooled system's place: RestorePrefix rewinds it.
+  Drive(*system, 4);
+  core::AndroidSystem* pooled = system.get();
+  system = sim::RestorePrefix(config, snap, "rewind test", std::move(system));
+  EXPECT_EQ(system.get(), pooled);
+  EXPECT_EQ(system->rewinds(), 1);
+}
+
+// The rewind skips a runtime only while its mutation epoch proves nothing
+// changed it. Each kind of change, made to a dead warm-up process's runtime
+// (which nothing else touches, so it is skipped otherwise), must be undone
+// by the next rewind.
+TEST(SystemSnapshotTest, RewindUndoesEveryKindOfRuntimeChange) {
+  sim::DeviceSpec config = SmallScenario(42);
+  auto captured = snapshot::SystemSnapshot::Capture(
+      *sim::DeviceFactory(config).BootPrefix());
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  const snapshot::SystemSnapshot& image = captured.value();
+  std::unique_ptr<core::AndroidSystem> system =
+      sim::RestorePrefix(config, image, "epoch test");
+
+  const auto dead_runtime = [&]() -> rt::Runtime* {
+    for (std::int32_t pid = 1;; ++pid) {
+      os::Process* proc = system->kernel().FindProcess(Pid{pid});
+      if (proc == nullptr) return nullptr;
+      if (!proc->alive && proc->HasRuntime()) return proc->runtime.get();
+    }
+  };
+  const auto held_object = [](rt::Runtime& runtime) {
+    ObjectId held;
+    runtime.heap().ForEachLive([&](ObjectId id) {
+      if (!held.valid() && runtime.heap().Holds(id) > 0) held = id;
+    });
+    return held;
+  };
+  const std::vector<std::function<void(rt::Runtime&)>> changes = {
+      [&](rt::Runtime& r) { r.heap().AddHold(held_object(r)); },
+      [&](rt::Runtime& r) { r.heap().RemoveHold(held_object(r)); },
+      [](rt::Runtime& r) { r.AllocPlainObject("stray"); },
+      [&](rt::Runtime& r) { (void)r.vm().AddGlobalRef(held_object(r)); },
+      [](rt::Runtime& r) { (void)r.PushLocalFrame(); },
+      [](rt::Runtime& r) { r.CollectGarbage(); },
+  };
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    rt::Runtime* runtime = dead_runtime();
+    ASSERT_NE(runtime, nullptr);
+    changes[i](*runtime);
+    ASSERT_FALSE(CapturePayload(*system) == image.payload()) << "change " << i;
+    ASSERT_TRUE(image.CanRewind(*system)) << "change " << i;
+    const Status status = image.RewindInto(system.get());
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_TRUE(CapturePayload(*system) == image.payload()) << "change " << i;
+  }
+}
+
+// A copy of `image` whose payload was edited by `edit` and re-hashed, so
+// that it passes the file checks and only the restore can reject it.
+snapshot::SystemSnapshot Rehashed(
+    const snapshot::SystemSnapshot& image, const std::string& path,
+    const std::function<void(std::vector<std::uint8_t>&)>& edit) {
+  std::vector<std::uint8_t> payload = image.payload();
+  edit(payload);
+  snapshot::Serializer out;
+  out.U64(snapshot::kSnapshotMagic);
+  out.U32(image.manifest().version);
+  out.U64(image.manifest().seed);
+  out.U64(image.manifest().virtual_time_us);
+  out.U64(payload.size());
+  std::vector<std::uint8_t> bytes = out.TakeBuffer();
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  snapshot::Serializer trailer;
+  trailer.U64(snapshot::Fnv1a(payload.data(), payload.size()));
+  bytes.insert(bytes.end(), trailer.buffer().begin(), trailer.buffer().end());
+  {
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    file.write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+  }
+  auto loaded = snapshot::SystemSnapshot::ReadFile(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return loaded.ok() ? std::move(loaded).value() : snapshot::SystemSnapshot();
+}
+
+// Hostile input: rewinding a driven system from a truncated payload, or from
+// one with a flipped byte re-hashed to pass the file checks, fails with a
+// Status; the half-rewound system is never reused, and the next reset is
+// fresh and byte-correct.
+TEST(SystemSnapshotTest, RewindFromHostilePayloadFailsAndIsNotReused) {
+  sim::DeviceSpec config = SmallScenario(42);
+  auto captured = snapshot::SystemSnapshot::Capture(
+      *sim::DeviceFactory(config).BootPrefix());
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  const snapshot::SystemSnapshot& image = captured.value();
+
+  // The binder driver's section marker: a flip there fails the restore
+  // after the kernel section was rewound in place.
+  const std::vector<std::uint8_t> driver_marker = {0x32, 0x52, 0x44, 0x42};
+  const std::vector<std::function<void(std::vector<std::uint8_t>&)>> edits = {
+      [](std::vector<std::uint8_t>& p) { p.resize(p.size() / 2); },
+      [&](std::vector<std::uint8_t>& p) {
+        auto at = std::search(p.begin(), p.end(), driver_marker.begin(),
+                              driver_marker.end());
+        ASSERT_NE(at, p.end());
+        *at ^= 0x01;
+      },
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    std::unique_ptr<core::AndroidSystem> system =
+        sim::RestorePrefix(config, image, "hostile test");
+    Drive(*system, 8);
+    const snapshot::SystemSnapshot hostile =
+        Rehashed(image, "snapshot_test_hostile.bin", edits[i]);
+    const Status status = hostile.RewindInto(system.get());
+    EXPECT_FALSE(status.ok()) << "edit " << i;
+    EXPECT_FALSE(image.CanRewind(*system)) << "edit " << i;
+
+    system = sim::RestorePrefix(config, image, "hostile test",
+                                std::move(system));
+    EXPECT_EQ(system->rewinds(), 0) << "edit " << i << ": not fresh";
+    EXPECT_TRUE(CapturePayload(*system) == image.payload()) << "edit " << i;
+  }
 }
 
 TEST(SystemSnapshotTest, RestoreRejectsSeedMismatch) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "analysis/pipeline.h"
+#include "census.h"
 #include "common/log.h"
 #include "dynamic/verifier.h"
 #include "fuzz/campaign.h"
@@ -27,15 +28,6 @@
 #include "harness/json.h"
 
 namespace jgre::bench {
-namespace {
-
-harness::Json StringArray(const std::vector<std::string>& values) {
-  harness::Json arr = harness::Json::Array();
-  for (const std::string& v : values) arr.Push(v);
-  return arr;
-}
-
-}  // namespace
 
 int RunFuzzCampaign(const harness::HarnessSpec& spec,
                     const harness::HarnessOptions& opts) {
@@ -85,19 +77,8 @@ int RunFuzzCampaign(const harness::HarnessSpec& spec,
   std::printf("%zu confirmed findings\n", result.findings.size());
 
   // --- census cross-check: the directed verifier at the same seed -----------
-  dynamic::VerifyOptions verify_options;
-  verify_options.max_calls = 4000;
-  verify_options.probe_calls = 1200;
-  verify_options.gc_every_calls = 250;
-  verify_options.seed = opts.seed;
-  const std::vector<std::size_t> candidates = runner.report().Candidates();
   const std::vector<dynamic::Verdict> census =
-      harness::RunOrdered<dynamic::Verdict>(
-          candidates.size(), opts.jobs, [&](std::size_t i) {
-            dynamic::JgreVerifier verifier(verify_options);
-            return verifier.Verify(runner.report().interfaces[candidates[i]],
-                                   runner.model());
-          });
+      DirectedCensus(runner.report(), runner.model(), opts.seed, opts.jobs);
   const fuzz::ConsistencyReport consistency =
       fuzz::CrossCheck(result.findings, runner.report(), census);
   std::printf("\nconsistency vs census (%d exploitable interfaces):\n",

@@ -22,6 +22,7 @@
 
 #include "analysis/pipeline.h"
 #include "analysis/protocol/protocol_graph.h"
+#include "census.h"
 #include "common/log.h"
 #include "detect/hunt.h"
 #include "detect/hunts.h"
@@ -43,12 +44,6 @@ std::string ChainPath(const analysis::protocol::ProtocolChain& chain,
     path += report.interfaces[chain.entries[j]].id;
   }
   return path;
-}
-
-harness::Json StringArray(const std::vector<std::string>& values) {
-  harness::Json arr = harness::Json::Array();
-  for (const std::string& v : values) arr.Push(v);
-  return arr;
 }
 
 }  // namespace
@@ -136,19 +131,8 @@ int RunProtocolGraph(const harness::HarnessSpec& spec,
   const fuzz::CampaignResult unseeded_result = unseeded_runner.Run();
 
   // The directed verifier's census at the same seed is the re-find yardstick.
-  dynamic::VerifyOptions verify_options;
-  verify_options.max_calls = 4000;
-  verify_options.probe_calls = 1200;
-  verify_options.gc_every_calls = 250;
-  verify_options.seed = opts.seed;
-  const std::vector<std::size_t> candidates = report.Candidates();
   const std::vector<dynamic::Verdict> census =
-      harness::RunOrdered<dynamic::Verdict>(
-          candidates.size(), opts.jobs, [&](std::size_t i) {
-            dynamic::JgreVerifier verifier(verify_options);
-            return verifier.Verify(report.interfaces[candidates[i]],
-                                   runner.model());
-          });
+      DirectedCensus(report, runner.model(), opts.seed, opts.jobs);
   const fuzz::ConsistencyReport protocol_cons =
       fuzz::CrossCheck(protocol_result.findings, report, census);
   const fuzz::ConsistencyReport analysis_cons =

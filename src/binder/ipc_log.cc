@@ -60,9 +60,13 @@ void IpcLog::RestoreState(snapshot::Deserializer& in) {
   capacity_ = static_cast<std::size_t>(in.U64());
   total_pushed_ = in.U64();
   slot_ = 0;
-  const std::size_t count =
-      total_pushed_ < capacity_ ? static_cast<std::size_t>(total_pushed_)
-                                : capacity_;
+  std::size_t count = size();
+  // Five 8-byte and two 4-byte columns per record: a count the rest of the
+  // stream cannot hold is corrupt and must not size the arrays.
+  if (!in.ok() || count > in.Remaining() / (5 * 8 + 2 * 4)) {
+    in.Fail("IPC log record count past the end of the stream");
+    total_pushed_ = count = 0;
+  }
   timestamp_.assign(count, 0);
   from_pid_.assign(count, 0);
   from_uid_.assign(count, 0);

@@ -1,55 +1,41 @@
 #include "dynamic/verifier.h"
 
-#include <cmath>
-
 #include "common/log.h"
 #include "common/strings.h"
 #include "core/android_system.h"
 #include "core/market_apps.h"
-#include "services/app.h"
-#include "services/ipc_client.h"
+#include "fuzz/executor.h"
+#include "fuzz/oracle.h"
 
 namespace jgre::dynamic {
 
 namespace {
 
-// Javapoet-style payload synthesis: defaults per parameter kind, fresh
-// Binder objects for callback parameters, a descriptor for fd parameters,
-// and — for the adversarial probe — the "android" spoof in every string
-// slot.
-void WriteProbeArgs(const model::JavaMethodModel& method,
-                    services::AppProcess& app, binder::Parcel& parcel,
-                    bool adversarial) {
-  for (services::ArgKind kind : method.args) {
-    switch (kind) {
-      case services::ArgKind::kInt32:
-        parcel.WriteInt32(1);
-        break;
-      case services::ArgKind::kInt64:
-        parcel.WriteInt64(1);
-        break;
-      case services::ArgKind::kBool:
-        parcel.WriteBool(true);
-        break;
-      case services::ArgKind::kString:
-        parcel.WriteString(adversarial ? "android" : app.package());
-        break;
-      case services::ArgKind::kByteArray:
-        parcel.WriteByteArray(16);
-        break;
-      case services::ArgKind::kBinder:
-        parcel.WriteStrongBinder(app.NewBinder("ProbeCallback"));
-        break;
-      case services::ArgKind::kFd:
-        parcel.WriteFileDescriptor();
-        break;
-    }
-  }
-}
+constexpr char kProbePackage[] = "com.jgre.probe";
 
-std::string DescriptorOf(const model::JavaMethodModel& method) {
+// Javapoet-style payload synthesis: one call of `method` with a default per
+// parameter kind — 1 for integers, true for booleans, a 16-byte array, a
+// fresh Binder per call for callback parameters, a descriptor for fd
+// parameters, and the probe's own package (for the adversarial probe, the
+// "android" spoof) in every string slot.
+fuzz::IpcCall ProbeCall(const analysis::AnalyzedInterface& iface,
+                        const model::JavaMethodModel& method,
+                        bool adversarial) {
+  fuzz::IpcCall call;
+  call.method_id = method.id;
+  call.service = iface.service;
   // Method ids are "<interface descriptor>.<name>".
-  return method.id.substr(0, method.id.size() - method.name.size() - 1);
+  call.descriptor =
+      method.id.substr(0, method.id.size() - method.name.size() - 1);
+  call.code = iface.transaction_code;
+  for (services::ArgKind kind : method.args) {
+    // The executor reads only the field of the slot's kind.
+    call.args.push_back({.kind = kind,
+                         .scalar = 1,
+                         .str = adversarial ? "android" : kProbePackage,
+                         .byte_size = 16});
+  }
+  return call;
 }
 
 }  // namespace
@@ -78,71 +64,38 @@ Verdict JgreVerifier::RunProbe(const analysis::AnalyzedInterface& iface,
                                  iface.service, "' to probe");
     return verdict;
   }
-  std::set<std::string> permissions;
-  if (!iface.permission.empty()) permissions.insert(iface.permission);
-  services::AppProcess* probe =
-      system.InstallApp("com.jgre.probe", permissions);
-
-  auto client = probe->GetService(iface.service, DescriptorOf(method));
-  if (!client.ok()) {
-    verdict.skip_reason = client.status().ToString();
+  fuzz::ExecOptions exec;
+  exec.gc_every_calls = options_.gc_every_calls;
+  exec.probe_package = kProbePackage;
+  if (!iface.permission.empty()) exec.permissions.insert(iface.permission);
+  fuzz::Probe probe(system, exec, iface.app_hosted ? iface.package : "");
+  const fuzz::IpcCall call = ProbeCall(iface, method, adversarial);
+  if (Status connected = probe.Connect(call); !connected.ok()) {
+    verdict.skip_reason = connected.ToString();
     return verdict;
   }
-
-  auto victim_jgr = [&]() -> std::size_t {
-    if (!iface.app_hosted) return system.SystemServerJgrCount();
-    services::AppProcess* victim = system.FindApp(iface.package);
-    if (victim == nullptr || !victim->alive() || victim->runtime() == nullptr) {
-      return 0;
-    }
-    return victim->runtime()->JgrCount();
-  };
-  auto victim_down = [&]() {
-    if (!iface.app_hosted) return system.soft_reboots() > 0;
-    services::AppProcess* victim = system.FindApp(iface.package);
-    return victim == nullptr || !victim->alive();
-  };
-
-  system.CollectAllGarbage();
-  const std::size_t baseline = victim_jgr();
   verdict.tested = true;
 
-  for (int i = 0; i < options_.max_calls; ++i) {
-    Status status = client.value().Call(
-        iface.transaction_code, [&](binder::Parcel& p) {
-          WriteProbeArgs(method, *probe, p, adversarial);
-        });
-    ++verdict.calls_issued;
+  const fuzz::Oracle oracle;
+  for (int i = 0; i < options_.max_calls && !probe.aborted(); ++i) {
+    Status status = probe.Fire(call, fuzz::Probe::Reply::kDiscard);
     if (status.code() == StatusCode::kPermissionDenied) {
       verdict.skip_reason = status.ToString();
       break;
     }
-    if ((i + 1) % options_.gc_every_calls == 0) {
-      // DDMS-triggered GC: transient references must not count as growth.
-      system.CollectAllGarbage();
-    }
-    if (victim_down()) {
-      verdict.victim_aborted = true;
-      verdict.exploitable = true;
+    // Early exit: growth already flat after the probe window => bounded.
+    if (i + 1 == options_.probe_calls && oracle.Bounded(probe.Observe())) {
       break;
     }
-    // Early exit: growth already flat after the probe window => bounded.
-    if (i + 1 == options_.probe_calls) {
-      system.CollectAllGarbage();
-      const double growth =
-          (static_cast<double>(victim_jgr()) - static_cast<double>(baseline)) /
-          static_cast<double>(i + 1);
-      if (growth < options_.growth.bounded_jgr_per_call) break;
-    }
   }
-  if (!verdict.victim_aborted && verdict.calls_issued > 0) {
-    system.CollectAllGarbage();
-    verdict.jgr_growth_per_call =
-        (static_cast<double>(victim_jgr()) - static_cast<double>(baseline)) /
-        static_cast<double>(verdict.calls_issued);
-    verdict.exploitable =
-        verdict.jgr_growth_per_call >= options_.growth.exploitable_jgr_per_call;
-  }
+  const fuzz::Observation observed = probe.Observe();
+  const fuzz::OracleVerdict judged = oracle.Confirm(observed);
+  verdict.calls_issued = observed.calls;
+  verdict.victim_aborted = judged.kind == fuzz::ExhaustionKind::kAbort;
+  // An fd-only leak keeps the bounded verdict: the census is JGR exhaustion.
+  verdict.exploitable = verdict.victim_aborted ||
+                        judged.kind == fuzz::ExhaustionKind::kJgr;
+  verdict.jgr_growth_per_call = judged.jgr_growth_per_call;
   return verdict;
 }
 

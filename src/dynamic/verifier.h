@@ -8,7 +8,8 @@
 // call), fires up to 60,000 IPC requests while triggering the GC
 // periodically (DDMS), and watches the victim's JGR count. An interface is
 // exploitable iff the retained growth persists across GC — or the victim's
-// runtime aborts outright.
+// runtime aborts outright. The calls go through fuzz::Probe and the verdict
+// comes from fuzz::Oracle::Confirm, the fuzzer's own execution and judge.
 //
 // Interfaces guarded by a per-process constraint that keys on caller-supplied
 // input (enqueueToast) get a second, adversarial probe with the input set to
@@ -16,12 +17,12 @@
 #ifndef JGRE_DYNAMIC_VERIFIER_H_
 #define JGRE_DYNAMIC_VERIFIER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "analysis/pipeline.h"
 #include "model/code_model.h"
-#include "model/growth_thresholds.h"
 
 namespace jgre::dynamic {
 
@@ -31,9 +32,6 @@ struct VerifyOptions {
   // Early-exit probe: if growth is already flat after this many calls, the
   // interface is declared bounded.
   int probe_calls = 2'000;
-  // Exploitable/bounded growth-rate cutoffs, shared with the fuzz oracle
-  // (model/growth_thresholds.h) so the two dynamic stages cannot drift.
-  model::GrowthThresholds growth;
   std::uint64_t seed = 42;
 };
 

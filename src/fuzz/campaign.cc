@@ -162,6 +162,16 @@ ExecOutcome CampaignRunner::ExecuteOnReset(std::size_t shard,
   return outcome;
 }
 
+CampaignRunner::ShardExec CampaignRunner::ScreenOnReset(std::size_t shard,
+                                                        Sequence seq) const {
+  ExecOutcome outcome = ExecuteOnReset(
+      shard, [&](core::AndroidSystem& system) {
+        return executor_->Execute(system, seq);
+      });
+  return {std::move(seq), std::move(outcome.elements),
+          oracle_.Screen(outcome.obs)};
+}
+
 Sequence CampaignRunner::PickSequence(
     Rng& rng, const std::vector<CorpusEntry>& entries) const {
   if (!entries.empty() && rng.Chance(options_.mutate_probability)) {
@@ -182,6 +192,17 @@ CampaignResult CampaignRunner::Run() {
   std::vector<Suspect> suspects;
   std::set<std::uint64_t> suspect_fingerprints;
   std::size_t seeded_suspects = 0;
+  // Every execution joins the corpus; a suspicious one with a new sequence
+  // joins the suspects too (`capped`: at most max_suspects past the seeds).
+  const auto admit = [&](ShardExec& exec, bool capped) {
+    corpus_.Add(exec.seq, exec.elements);
+    if (exec.screen.suspicious() &&
+        (!capped || static_cast<int>(suspects.size() - seeded_suspects) <
+                        options_.max_suspects) &&
+        suspect_fingerprints.insert(exec.seq.Fingerprint()).second) {
+      suspects.push_back({std::move(exec.seq), exec.screen.kind});
+    }
+  };
 
   // --- Seed: ProtocolGraph chains as wired multi-call sequences -------------
   // Chain seeds run *before* the analysis seeds: the confirm phase probes the
@@ -197,22 +218,14 @@ CampaignResult CampaignRunner::Run() {
     std::vector<ShardExec> chain_execs = harness::RunOrdered<ShardExec>(
         n_links, options_.jobs, [&](std::size_t i) {
           Rng rng(MixSeed(options_.seed, 0x5052'4F54ull /* "PROT" */, i));
-          Sequence seq = mutator_->GenerateChain(
-              i, std::max(2, options_.seed_sequence_calls), rng);
-          ExecOutcome outcome = ExecuteOnReset(
-              400'000 + i, [&](core::AndroidSystem& system) {
-                return executor_->Execute(system, seq);
-              });
-          return ShardExec{std::move(seq), std::move(outcome.elements),
-                           oracle_.Screen(outcome.obs)};
+          return ScreenOnReset(
+              400'000 + i,
+              mutator_->GenerateChain(
+                  i, std::max(2, options_.seed_sequence_calls), rng));
         });
     for (ShardExec& exec : chain_execs) {
       ++stats.protocol_seed_executions;
-      corpus_.Add(exec.seq, exec.elements);
-      if (exec.screen.suspicious() &&
-          suspect_fingerprints.insert(exec.seq.Fingerprint()).second) {
-        suspects.push_back({std::move(exec.seq), exec.screen.kind});
-      }
+      admit(exec, /*capped=*/false);
     }
     seeded_suspects = suspects.size();
   }
@@ -242,20 +255,11 @@ CampaignResult CampaignRunner::Run() {
           for (int c = 0; c < std::max(1, options_.seed_sequence_calls); ++c) {
             seq.calls.push_back(mutator_->MakeCall(*method, rng));
           }
-          ExecOutcome outcome = ExecuteOnReset(
-              300'000 + i, [&](core::AndroidSystem& system) {
-                return executor_->Execute(system, seq);
-              });
-          return ShardExec{std::move(seq), std::move(outcome.elements),
-                           oracle_.Screen(outcome.obs)};
+          return ScreenOnReset(300'000 + i, std::move(seq));
         });
     for (ShardExec& exec : seed_execs) {
       ++stats.seed_executions;
-      corpus_.Add(exec.seq, exec.elements);
-      if (exec.screen.suspicious() &&
-          suspect_fingerprints.insert(exec.seq.Fingerprint()).second) {
-        suspects.push_back({std::move(exec.seq), exec.screen.kind});
-      }
+      admit(exec, /*capped=*/false);
     }
     seeded_suspects = suspects.size();
   }
@@ -290,14 +294,9 @@ CampaignResult CampaignRunner::Run() {
               std::vector<ShardExec> out;
               out.reserve(static_cast<std::size_t>(execs));
               for (int e = 0; e < execs; ++e) {
-                Sequence seq = PickSequence(rng, entries);
-                ExecOutcome outcome = ExecuteOnReset(
+                out.push_back(ScreenOnReset(
                     static_cast<std::size_t>(round) * 1000 + shard,
-                    [&](core::AndroidSystem& system) {
-                      return executor_->Execute(system, seq);
-                    });
-                out.push_back({std::move(seq), std::move(outcome.elements),
-                               oracle_.Screen(outcome.obs)});
+                    PickSequence(rng, entries)));
               }
               return out;
             });
@@ -306,13 +305,7 @@ CampaignResult CampaignRunner::Run() {
     for (std::vector<ShardExec>& report : reports) {
       for (ShardExec& exec : report) {
         ++stats.screen_executions;
-        corpus_.Add(exec.seq, exec.elements);
-        if (exec.screen.suspicious() &&
-            static_cast<int>(suspects.size() - seeded_suspects) <
-                options_.max_suspects &&
-            suspect_fingerprints.insert(exec.seq.Fingerprint()).second) {
-          suspects.push_back({std::move(exec.seq), exec.screen.kind});
-        }
+        admit(exec, /*capped=*/true);
       }
     }
   }
@@ -416,11 +409,7 @@ CampaignResult CampaignRunner::Run() {
               }
               if (!has_method) return false;  // free reject, no execution
               ++mr.execs;
-              ExecOutcome outcome = ExecuteOnReset(
-                  200'000 + i, [&](core::AndroidSystem& system) {
-                    return executor_->Execute(system, cand);
-                  });
-              return oracle_.Screen(outcome.obs).suspicious();
+              return ScreenOnReset(200'000 + i, cand).screen.suspicious();
             };
             // Pre-trim: if the homogeneous subsequence (the finding's calls
             // alone) still screens, minimize that instead of the full witness.

@@ -39,7 +39,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "core/android_system.h"
-#include "dynamic/verifier.h"
+#include "dynamic/verifier.h"  // dynamic::Verdict only; jgre_dynamic links us
 #include "fuzz/corpus.h"
 #include "fuzz/executor.h"
 #include "fuzz/mutator.h"
@@ -195,6 +195,8 @@ class CampaignRunner {
     std::vector<std::uint64_t> elements;
     OracleVerdict screen;
   };
+  // `seq` executed on a reset system and screened.
+  ShardExec ScreenOnReset(std::size_t shard, Sequence seq) const;
 
   Sequence PickSequence(Rng& rng,
                         const std::vector<CorpusEntry>& entries) const;

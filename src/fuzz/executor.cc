@@ -1,208 +1,199 @@
 #include "fuzz/executor.h"
 
-#include <memory>
-
 #include "fuzz/coverage.h"
-#include "services/app.h"
-#include "services/ipc_client.h"
 
 namespace jgre::fuzz {
 
+Probe::Probe(core::AndroidSystem& system, const ExecOptions& options,
+             std::string victim_package)
+    : system_(system),
+      gc_every_calls_(options.gc_every_calls),
+      victim_package_(std::move(victim_package)),
+      app_(system.InstallApp(options.probe_package, options.permissions)) {
+  system_.CollectAllGarbage();
+  ReadVictim(obs_.jgr_before, obs_.fd_before);
+}
+
+// A dead victim app holds no JGRs.
+void Probe::ReadVictim(std::int64_t& jgr, std::int64_t& fd) const {
+  if (victim_package_.empty()) {
+    jgr = static_cast<std::int64_t>(system_.SystemServerJgrCount());
+    fd = system_.kernel().OpenFdCount(system_.system_server_pid());
+    return;
+  }
+  services::AppProcess* victim = system_.FindApp(victim_package_);
+  const bool up = victim != nullptr && victim->alive() &&
+                  victim->runtime() != nullptr;
+  jgr = up ? static_cast<std::int64_t>(victim->runtime()->JgrCount()) : 0;
+  fd = system_.kernel().OpenFdCount(victim != nullptr ? victim->pid() : Pid());
+}
+
+bool Probe::VictimDown() const {
+  if (victim_package_.empty()) return system_.soft_reboots() > 0;
+  services::AppProcess* victim = system_.FindApp(victim_package_);
+  return victim == nullptr || !victim->alive();
+}
+
+Result<const services::IpcClient*> Probe::Client(const IpcCall& call) {
+  auto it = clients_.find(call.service);
+  if (it == clients_.end()) {
+    auto client = app_->GetService(call.service, call.descriptor);
+    if (!client.ok()) return client.status();
+    it = clients_.emplace(call.service, std::move(client).value()).first;
+  }
+  return &it->second;
+}
+
+Status Probe::Connect(const IpcCall& call) { return Client(call).status(); }
+
+void Probe::WriteArgs(const IpcCall& call, std::size_t step,
+                      binder::Parcel& p) {
+  for (const ArgValue& arg : call.args) {
+    const auto at = static_cast<std::size_t>(arg.from_step);
+    const bool wired = arg.from_step >= 0 && at < step && at < captured_.size();
+    // A dangling or forward reference falls back to the literal.
+    const Captured* from = wired ? &captured_[at] : nullptr;
+    const std::int64_t scalar =
+        from != nullptr && from->has_scalar ? from->scalar : arg.scalar;
+    switch (arg.kind) {
+      case services::ArgKind::kInt32:
+        p.WriteInt32(static_cast<std::int32_t>(scalar));
+        break;
+      case services::ArgKind::kInt64:
+        p.WriteInt64(scalar);
+        break;
+      case services::ArgKind::kBool:
+        p.WriteBool(arg.scalar != 0);
+        break;
+      case services::ArgKind::kString:
+        p.WriteString(arg.str);
+        break;
+      case services::ArgKind::kByteArray:
+        p.WriteByteArray(arg.byte_size);
+        break;
+      case services::ArgKind::kBinder:
+        if (from != nullptr && from->has_binder) {
+          // Forward the binder handle minted by the producer step
+          // (nested-binder parcel: session object from A into B).
+          p.WriteStrongBinder(from->binder.binder);
+        } else if (arg.fresh_binder) {
+          p.WriteStrongBinder(app_->NewBinder("FuzzCallback"));
+        } else {
+          if (shared_binder_ == nullptr) {
+            shared_binder_ = app_->NewBinder("FuzzSharedCallback");
+          }
+          p.WriteStrongBinder(shared_binder_);
+        }
+        break;
+      case services::ArgKind::kFd:
+        p.WriteFileDescriptor();
+        break;
+    }
+  }
+}
+
+// Only the two protocol-relevant reply shapes are parsed: a leading strong
+// binder (kSession) or a leading 64/32-bit scalar (kMintToken and
+// id-returning queries).
+void Probe::Capture(binder::Parcel& reply, std::size_t step) {
+  if (captured_.size() <= step) captured_.resize(step + 1);
+  Captured& into = captured_[step];
+  reply.RewindRead();
+  if (reply.has_binders()) {
+    binder::CallContext rctx;
+    rctx.self_pid = app_->pid();
+    rctx.driver = app_->driver();
+    auto sb = reply.ReadStrongBinder(rctx);
+    if (sb.ok() && sb.value().valid()) {
+      into.binder = std::move(sb).value();
+      into.has_binder = true;
+    }
+    return;
+  }
+  if (auto i64 = reply.ReadInt64(); i64.ok()) {
+    into.scalar = i64.value();
+    into.has_scalar = true;
+    return;
+  }
+  reply.RewindRead();
+  if (auto i32 = reply.ReadInt32(); i32.ok()) {
+    into.scalar = i32.value();
+    into.has_scalar = true;
+  }
+}
+
+Status Probe::Fire(const IpcCall& call, Reply reply_mode) {
+  const std::size_t step = steps_++;
+  const Result<const services::IpcClient*> client = Client(call);
+  if (!client.ok()) return client.status();
+  binder::Parcel reply;
+  Status status = client.value()->Call(
+      call.code, [&](binder::Parcel& p) { WriteArgs(call, step, p); },
+      &reply);
+  if (reply_mode == Reply::kCapture && status.ok() &&
+      reply.value_count() > 0) {
+    Capture(reply, step);
+  }
+  // Rejections (permission, caps, bad args) are signal too: the call counts.
+  ++obs_.calls;
+  if (VictimDown()) {
+    obs_.victim_aborted = true;
+  } else if (obs_.calls % gc_every_calls_ == 0) {
+    system_.CollectAllGarbage();
+  }
+  return status;
+}
+
+Observation Probe::Observe() {
+  if (obs_.victim_aborted) {
+    obs_.jgr_after = obs_.jgr_before;
+    obs_.fd_after = obs_.fd_before;
+  } else {
+    system_.CollectAllGarbage();
+    ReadVictim(obs_.jgr_after, obs_.fd_after);
+  }
+  return obs_;
+}
+
 SequenceExecutor::SequenceExecutor(const model::CodeModel* model,
                                    ExecOptions options)
-    : model_(model), options_(std::move(options)) {
-  for (const model::AppServiceModel& app : model_->app_services) {
+    : options_(std::move(options)) {
+  for (const model::AppServiceModel& app : model->app_services) {
     app_hosted_[app.service_name] = app.package;
   }
 }
 
 ExecOutcome SequenceExecutor::Run(core::AndroidSystem& system,
-                                  const std::vector<const IpcCall*>& calls,
+                                  const std::vector<IpcCall>& calls,
+                                  const IpcCall* repeated, int repeats,
                                   const std::string& victim_package) const {
-  ExecOutcome out;
-  services::AppProcess* probe =
-      system.InstallApp(options_.probe_package, options_.permissions);
-
-  const auto victim_pid = [&]() -> Pid {
-    if (victim_package.empty()) return system.system_server_pid();
-    services::AppProcess* victim = system.FindApp(victim_package);
-    return victim != nullptr ? victim->pid() : Pid();
-  };
-  const auto victim_jgr = [&]() -> std::int64_t {
-    if (victim_package.empty()) {
-      return static_cast<std::int64_t>(system.SystemServerJgrCount());
-    }
-    services::AppProcess* victim = system.FindApp(victim_package);
-    if (victim == nullptr || !victim->alive() || victim->runtime() == nullptr) {
-      return 0;
-    }
-    return static_cast<std::int64_t>(victim->runtime()->JgrCount());
-  };
-  const auto victim_down = [&]() {
-    if (victim_package.empty()) return system.soft_reboots() > 0;
-    services::AppProcess* victim = system.FindApp(victim_package);
-    return victim == nullptr || !victim->alive();
-  };
-
-  system.CollectAllGarbage();
-  out.obs.jgr_before = victim_jgr();
-  out.obs.fd_before = system.kernel().OpenFdCount(victim_pid());
-
+  Probe probe(system, options_, victim_package);
   // Coverage rides the bus only while the sequence runs: baseline-taking and
   // probe install are not part of the signature.
   CoverageProbe coverage(&system.kernel().bus());
-  // The shared callback binder (fresh_binder == false slots): one per
-  // execution, minted lazily so binder-free sequences cost nothing.
-  std::shared_ptr<binder::BBinder> shared_binder;
-  std::map<std::string, services::IpcClient> clients;
-
-  // Per-step reply values, for ArgValue::from_step substitution: the minted
-  // token/id (scalar) or session handle (binder) a protocol chain forwards
-  // into a dependent call.
-  struct Captured {
-    binder::StrongBinder binder;
-    std::int64_t scalar = 0;
-    bool has_binder = false;
-    bool has_scalar = false;
+  const auto fire = [&](const IpcCall& call) {
+    (void)probe.Fire(call);  // a rejected call is signal too
+    return !probe.aborted();
   };
-  std::vector<Captured> captured(calls.size());
-
-  for (std::size_t step = 0; step < calls.size(); ++step) {
-    const IpcCall* call = calls[step];
-    auto it = clients.find(call->service);
-    if (it == clients.end()) {
-      auto client = probe->GetService(call->service, call->descriptor);
-      if (!client.ok()) continue;  // dead or unregistered service: skip
-      it = clients.emplace(call->service, std::move(client).value()).first;
-    }
-    const auto resolved = [&](const ArgValue& arg) -> const Captured* {
-      if (arg.from_step < 0 ||
-          static_cast<std::size_t>(arg.from_step) >= step) {
-        return nullptr;  // dangling / forward reference: use the literal
-      }
-      return &captured[static_cast<std::size_t>(arg.from_step)];
-    };
-    binder::Parcel reply;
-    Status status = it->second.Call(
-        call->code,
-        [&](binder::Parcel& p) {
-          for (const ArgValue& arg : call->args) {
-            const Captured* from = resolved(arg);
-            switch (arg.kind) {
-              case services::ArgKind::kInt32:
-                if (from != nullptr && from->has_scalar) {
-                  p.WriteInt32(static_cast<std::int32_t>(from->scalar));
-                } else {
-                  p.WriteInt32(static_cast<std::int32_t>(arg.scalar));
-                }
-                break;
-              case services::ArgKind::kInt64:
-                if (from != nullptr && from->has_scalar) {
-                  p.WriteInt64(from->scalar);
-                } else {
-                  p.WriteInt64(arg.scalar);
-                }
-                break;
-              case services::ArgKind::kBool:
-                p.WriteBool(arg.scalar != 0);
-                break;
-              case services::ArgKind::kString:
-                p.WriteString(arg.str);
-                break;
-              case services::ArgKind::kByteArray:
-                p.WriteByteArray(arg.byte_size);
-                break;
-              case services::ArgKind::kBinder:
-                if (from != nullptr && from->has_binder) {
-                  // Forward the binder handle minted by the producer step
-                  // (nested-binder parcel: session object from A into B).
-                  p.WriteStrongBinder(from->binder.binder);
-                } else if (arg.fresh_binder) {
-                  p.WriteStrongBinder(probe->NewBinder("FuzzCallback"));
-                } else {
-                  if (shared_binder == nullptr) {
-                    shared_binder = probe->NewBinder("FuzzSharedCallback");
-                  }
-                  p.WriteStrongBinder(shared_binder);
-                }
-                break;
-              case services::ArgKind::kFd:
-                p.WriteFileDescriptor();
-                break;
-            }
-          }
-        },
-        &reply);
-    if (status.ok() && reply.value_count() > 0) {
-      // Capture the reply's minted value. Only the two protocol-relevant
-      // shapes are parsed: a leading strong binder (kSession) or a leading
-      // 64/32-bit scalar (kMintToken and id-returning queries).
-      if (reply.has_binders()) {
-        binder::CallContext rctx;
-        rctx.self_pid = probe->pid();
-        rctx.driver = probe->driver();
-        reply.RewindRead();
-        auto sb = reply.ReadStrongBinder(rctx);
-        if (sb.ok() && sb.value().valid()) {
-          captured[step].binder = std::move(sb).value();
-          captured[step].has_binder = true;
-        }
-      } else {
-        reply.RewindRead();
-        auto i64 = reply.ReadInt64();
-        if (i64.ok()) {
-          captured[step].scalar = i64.value();
-          captured[step].has_scalar = true;
-        } else {
-          reply.RewindRead();
-          auto i32 = reply.ReadInt32();
-          if (i32.ok()) {
-            captured[step].scalar = i32.value();
-            captured[step].has_scalar = true;
-          }
-        }
-      }
-    }
-    (void)status;  // rejections (permission, caps, bad args) are signal too
-    ++out.obs.calls;
-    if (victim_down()) {
-      out.obs.victim_aborted = true;
-      break;
-    }
-    if (out.obs.calls % options_.gc_every_calls == 0) {
-      system.CollectAllGarbage();
-    }
-  }
-
-  if (!out.obs.victim_aborted) {
-    system.CollectAllGarbage();
-    out.obs.jgr_after = victim_jgr();
-    out.obs.fd_after = system.kernel().OpenFdCount(victim_pid());
-  } else {
-    out.obs.jgr_after = out.obs.jgr_before;
-    out.obs.fd_after = out.obs.fd_before;
-  }
+  bool up = true;
+  for (std::size_t i = 0; up && i < calls.size(); ++i) up = fire(calls[i]);
+  for (int i = 0; up && i < repeats; ++i) up = fire(*repeated);
+  ExecOutcome out;
+  out.obs = probe.Observe();
   out.elements = coverage.TakeElements();
   return out;
 }
 
 ExecOutcome SequenceExecutor::Execute(core::AndroidSystem& system,
                                       const Sequence& seq) const {
-  std::vector<const IpcCall*> calls;
-  calls.reserve(seq.calls.size());
-  for (const IpcCall& call : seq.calls) calls.push_back(&call);
-  return Run(system, calls, seq.victim_hint);
+  return Run(system, seq.calls, nullptr, 0, seq.victim_hint);
 }
 
 ExecOutcome SequenceExecutor::ExecuteRepeated(
     core::AndroidSystem& system, const IpcCall& call, int calls,
     const std::vector<IpcCall>& setup) const {
-  std::vector<const IpcCall*> all;
-  all.reserve(setup.size() + static_cast<std::size_t>(calls));
-  for (const IpcCall& s : setup) all.push_back(&s);
-  for (int i = 0; i < calls; ++i) all.push_back(&call);
   auto host = app_hosted_.find(call.service);
-  return Run(system, all,
+  return Run(system, setup, &call, calls,
              host != app_hosted_.end() ? host->second : std::string());
 }
 

@@ -4,8 +4,8 @@
 // Three signals, all measured across a forced GC so transient references
 // never count:
 //   * runtime abort / soft reboot — the detonation itself;
-//   * retained JGR growth — judged against the same exploitable/bounded
-//     rates the directed verifier uses (model/growth_thresholds.h);
+//   * retained JGR growth — judged against the exploitable/bounded rates
+//     (OracleOptions), the one set of cutoffs in the repo;
 //   * fd-table growth — the §VI resource the JGR-centric pipeline is
 //     structurally blind to.
 //
@@ -15,14 +15,14 @@
 //               screen triggers on an absolute retained floor or the bounded
 //               rate. Screen hits are *suspects*, not findings.
 //   Confirm() — strict, for a minimized homogeneous probe of one interface:
-//               the shared exploitable rate. Only Confirm creates findings,
-//               which is what keeps the false-positive count at zero.
+//               the exploitable rate. Only Confirm creates findings, which
+//               keeps the false-positive count at zero. The §III.D verifier
+//               (src/dynamic) takes its verdicts from Confirm too.
 #ifndef JGRE_FUZZ_ORACLE_H_
 #define JGRE_FUZZ_ORACLE_H_
 
 #include <cstdint>
-
-#include "model/growth_thresholds.h"
+#include <limits>
 
 namespace jgre::fuzz {
 
@@ -49,9 +49,15 @@ struct OracleVerdict {
 };
 
 struct OracleOptions {
-  // Shared with dynamic::VerifyOptions — the single source of truth for
-  // what growth rate counts as exploitable vs bounded.
-  model::GrowthThresholds growth;
+  // Retained JGR growth per IPC call across a forced GC. A vulnerable
+  // interface retains >= 1 entry per call (often ~3 with death-link and
+  // session binders); 0.5 leaves headroom for calls the server rejects.
+  double exploitable_jgr_per_call = 0.5;
+  // Bounded: per-process caps and replace-single slots converge to ~0.
+  double bounded_jgr_per_call = 0.05;
+  // §VI: a handler that dups the caller's fd and never closes it leaks 1 fd
+  // per call; 0.5 leaves the same rejection headroom.
+  double exploitable_fd_per_call = 0.5;
   // Screen: absolute retained-entry floor that flags a sequence even when
   // per-call growth is diluted below the rate cutoffs.
   std::int64_t retained_jgr_floor = 8;
@@ -81,18 +87,24 @@ class Oracle {
   OracleVerdict Confirm(const Observation& obs) const {
     return Judge(obs, ConfirmBar());
   }
+  // The directed probe's early exit: the victim is up and its retained JGR
+  // growth is below the bounded rate (fds do not count).
+  bool Bounded(const Observation& obs) const {
+    return Judge(obs, {options_.bounded_jgr_per_call,
+                       std::numeric_limits<double>::infinity(), -1, -1})
+               .kind == ExhaustionKind::kNone;
+  }
 
   // The one judging code path. Exposed (with the stage bars) so callers that
   // re-derive verdicts — the detect oracle hunt — run the exact same logic.
   OracleVerdict Judge(const Observation& obs, const OracleBar& bar) const;
   OracleBar ScreenBar() const {
-    return {options_.growth.bounded_jgr_per_call,
-            options_.growth.exploitable_fd_per_call,
+    return {options_.bounded_jgr_per_call, options_.exploitable_fd_per_call,
             options_.retained_jgr_floor, options_.retained_fd_floor};
   }
   OracleBar ConfirmBar() const {
-    return {options_.growth.exploitable_jgr_per_call,
-            options_.growth.exploitable_fd_per_call, -1, -1};
+    return {options_.exploitable_jgr_per_call,
+            options_.exploitable_fd_per_call, -1, -1};
   }
 
   const OracleOptions& options() const { return options_; }

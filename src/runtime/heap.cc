@@ -102,8 +102,9 @@ void Heap::RestoreState(snapshot::Deserializer& in) {
   node_.clear();
   unheld_candidates_.clear();
   live_count_ = 0;
-  if (next_id_ < 1) {
+  if (next_id_ < 1 || next_id_ > kMaxRestoredCursor) {
     in.Fail("corrupt heap allocation cursor");
+    next_id_ = 1;
     return;
   }
   const std::size_t slots = static_cast<std::size_t>(next_id_ - 1);

@@ -172,6 +172,12 @@ class Heap {
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
 
+  // The largest allocation cursor a restore accepts: dead slots are not
+  // serialized, so the stream's length cannot bound it. The repo's largest
+  // checkpoint cursor is 87,980 (the ablation/snapshot benches' Fig-4
+  // prefix; all others stay under 2,000): ~48x headroom, ~140 MB columns.
+  static constexpr std::int64_t kMaxRestoredCursor = std::int64_t{1} << 22;
+
  private:
   // holds_ value marking a freed slot (live counts are always >= 0).
   static constexpr std::int32_t kDeadSlot = -1;

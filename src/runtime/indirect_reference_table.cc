@@ -190,7 +190,12 @@ void IndirectReferenceTable::RestoreState(snapshot::Deserializer& in) {
     in.Fail(StrCat(name_, ": IRT capacity/kind mismatch on restore"));
     return;
   }
-  top_index_ = static_cast<std::size_t>(in.U64());
+  const std::uint64_t top_index = in.U64();
+  if (in.ok() && top_index > max_entries_) {
+    in.Fail(StrCat(name_, ": IRT top index past its capacity on restore"));
+    return;
+  }
+  top_index_ = static_cast<std::size_t>(top_index);
   slots_.assign(top_index_, Slot{});
   for (std::size_t i = 0; i < top_index_ && in.ok(); ++i) {
     Slot& slot = slots_[i];

@@ -142,6 +142,9 @@ class Deserializer {
   const std::string& error() const { return error_; }
   std::size_t pos() const { return pos_; }
   bool AtEnd() const { return pos_ == size_; }
+  // Bytes left to read: an upper bound on what a count read from the
+  // stream can still describe.
+  std::size_t Remaining() const { return size_ - pos_; }
   void Fail(const std::string& why) {
     if (ok_) {
       ok_ = false;

@@ -13,7 +13,8 @@
 #     wall-clock fields next to the deterministic ones), which the validator
 #     must accept as equal: `PYTHON VALIDATOR COMPARE_FLAG OUT.jobs1
 #     OUT.jobs2`.
-#   * With GOLDEN: the bench runs once, writing OUT, which must equal GOLDEN.
+#   * With GOLDEN: the bench runs at --jobs 1 and at --jobs 2, writing
+#     OUT.jobs1 and OUT.jobs2, which must both equal GOLDEN byte for byte.
 # Then, if VALIDATOR is set, PYTHON runs it on the output file (first
 # argument) with VALIDATOR_ARGS, before any COMPARE_FLAG comparison.
 if(NOT OUTPUT_FLAG)
@@ -41,15 +42,16 @@ function(require_same_bytes actual expected hint)
   endif()
 endfunction()
 
+set(checked "${OUT}.jobs1")
+run_bench("${checked}" --jobs 1)
+run_bench("${OUT}.jobs2" --jobs 2)
 if(GOLDEN)
-  set(checked "${OUT}")
-  run_bench("${checked}")
-  require_same_bytes("${checked}" "${GOLDEN}" "compare them with diff, and \
-regenerate the golden only if the change is intended (see tests/CMakeLists.txt)")
+  foreach(jobs 1 2)
+    require_same_bytes("${OUT}.jobs${jobs}" "${GOLDEN}" "compare them with \
+diff, and regenerate the golden only if the change is intended (see \
+tests/CMakeLists.txt)")
+  endforeach()
 else()
-  set(checked "${OUT}.jobs1")
-  run_bench("${checked}" --jobs 1)
-  run_bench("${OUT}.jobs2" --jobs 2)
   if(NOT COMPARE_FLAG)
     require_same_bytes("${OUT}.jobs2" "${checked}"
       "the output must be byte-identical for any --jobs")

@@ -3,6 +3,13 @@
 // growth for the correctly constrained ones, and the enqueueToast bypass.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "analysis/pipeline.h"
 #include "core/android_system.h"
 #include "dynamic/verifier.h"
@@ -45,6 +52,49 @@ class VerifierTest : public ::testing::Test {
   static model::CodeModel* model_;
   static analysis::AnalysisReport* report_;
 };
+
+// The golden verdicts (tests/golden/verifier_verdicts.txt): every field of
+// every verdict of the AOSP sweep and of the Table V market scan at
+// FastOptions, one line each, prefixed by its section. Each sweep test writes
+// its section's lines to verifier_verdicts.<section>.actual in its working
+// directory (build/tests). After an intended verdict change, rerun both
+// tests, review the diff and regenerate the golden from the build tree:
+//   cd build/tests && cat verifier_verdicts.aosp.actual
+//       verifier_verdicts.market.actual
+//       > ../../tests/golden/verifier_verdicts.txt
+std::string GoldenLine(const std::string& section, const dynamic::Verdict& v) {
+  char growth[40];
+  std::snprintf(growth, sizeof growth, "%.17g", v.jgr_growth_per_call);
+  std::ostringstream line;
+  line << section << ' ' << v.id << " tested=" << v.tested
+       << " exploitable=" << v.exploitable
+       << " victim_aborted=" << v.victim_aborted
+       << " bypassed_constraint=" << v.bypassed_constraint
+       << " calls_issued=" << v.calls_issued
+       << " jgr_growth_per_call=" << growth
+       << " skip_reason=" << v.skip_reason;
+  return line.str();
+}
+
+void ExpectMatchesGolden(const std::string& section,
+                         const std::vector<dynamic::Verdict>& verdicts) {
+  std::vector<std::string> actual;
+  std::ofstream dump("verifier_verdicts." + section + ".actual");
+  for (const dynamic::Verdict& v : verdicts) {
+    actual.push_back(GoldenLine(section, v));
+    dump << actual.back() << '\n';
+  }
+  std::ifstream golden(JGRE_VERIFIER_GOLDEN);
+  ASSERT_TRUE(golden.good()) << "cannot read " << JGRE_VERIFIER_GOLDEN;
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(golden, line);) {
+    if (line.starts_with(section + ' ')) expected.push_back(line);
+  }
+  ASSERT_EQ(actual.size(), expected.size()) << section;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i]);
+  }
+}
 
 core::AndroidSystem* VerifierTest::system_ = nullptr;
 model::CodeModel* VerifierTest::model_ = nullptr;
@@ -122,6 +172,7 @@ TEST_F(VerifierTest, FullSweepReproducesTheCensus) {
   // per-process-constrained interfaces stay bounded.
   EXPECT_EQ(exploitable, 57);
   EXPECT_EQ(bounded, 3);
+  ExpectMatchesGolden("aosp", verdicts);
 }
 
 TEST_F(VerifierTest, TableVMarketScanFindsExactlyThreeVulnerableApps) {
@@ -135,6 +186,7 @@ TEST_F(VerifierTest, TableVMarketScanFindsExactlyThreeVulnerableApps) {
   }
   EXPECT_EQ(vulnerable_services,
             (std::set<std::string>{"googletts", "supernetvpn", "snapmovie"}));
+  ExpectMatchesGolden("market", verdicts);
 }
 
 }  // namespace

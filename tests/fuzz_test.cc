@@ -221,7 +221,7 @@ TEST_F(FuzzTest, OracleClearsKnownBenignInterface) {
   const fuzz::OracleVerdict verdict = fuzz::Oracle().Confirm(outcome.obs);
   EXPECT_EQ(verdict.kind, fuzz::ExhaustionKind::kNone) << benign->id;
   EXPECT_LT(verdict.jgr_growth_per_call,
-            model::kDefaultGrowthThresholds.bounded_jgr_per_call);
+            fuzz::OracleOptions{}.bounded_jgr_per_call);
 }
 
 // Rewind equivalence: a sequence replayed on a pooled system that was

@@ -396,10 +396,30 @@ snapshot::SystemSnapshot Rehashed(
   return loaded.ok() ? std::move(loaded).value() : snapshot::SystemSnapshot();
 }
 
+// Overwrites the little-endian u64 `offset` bytes past the first occurrence
+// of the section marker `tag` in `payload`.
+void PokeU64After(std::vector<std::uint8_t>& payload, std::uint32_t tag,
+                  std::size_t offset, std::uint64_t value) {
+  const std::uint8_t marker[] = {
+      static_cast<std::uint8_t>(tag), static_cast<std::uint8_t>(tag >> 8),
+      static_cast<std::uint8_t>(tag >> 16),
+      static_cast<std::uint8_t>(tag >> 24)};
+  auto at = std::search(payload.begin(), payload.end(), std::begin(marker),
+                        std::end(marker));
+  ASSERT_NE(at, payload.end()) << std::hex << tag;
+  const std::size_t pos =
+      static_cast<std::size_t>(at - payload.begin()) + 4 + offset;
+  ASSERT_LE(pos + 8, payload.size());
+  for (int b = 0; b < 8; ++b) {
+    payload[pos + static_cast<std::size_t>(b)] =
+        static_cast<std::uint8_t>(value >> (8 * b));
+  }
+}
+
 // Hostile input: rewinding a driven system from a truncated payload, or from
-// one with a flipped byte re-hashed to pass the file checks, fails with a
-// Status; the half-rewound system is never reused, and the next reset is
-// fresh and byte-correct.
+// one with a flipped byte or a corrupted count re-hashed to pass the file
+// checks, fails with a Status (never std::bad_alloc); the half-rewound
+// system is never reused, and the next reset is fresh and byte-correct.
 TEST(SystemSnapshotTest, RewindFromHostilePayloadFailsAndIsNotReused) {
   sim::DeviceSpec config = SmallScenario(42);
   auto captured = snapshot::SystemSnapshot::Capture(
@@ -407,6 +427,8 @@ TEST(SystemSnapshotTest, RewindFromHostilePayloadFailsAndIsNotReused) {
   ASSERT_TRUE(captured.ok()) << captured.status().ToString();
   const snapshot::SystemSnapshot& image = captured.value();
 
+  // A count that would size an allocation of terabytes if trusted.
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
   // The binder driver's section marker: a flip there fails the restore
   // after the kernel section was rewound in place.
   const std::vector<std::uint8_t> driver_marker = {0x32, 0x52, 0x44, 0x42};
@@ -417,6 +439,21 @@ TEST(SystemSnapshotTest, RewindFromHostilePayloadFailsAndIsNotReused) {
                               driver_marker.end());
         ASSERT_NE(at, p.end());
         *at ^= 0x01;
+      },
+      // An IRT's top index ("IRT1", after max_entries and kind) far past
+      // the table's capacity.
+      [](std::vector<std::uint8_t>& p) {
+        PokeU64After(p, 0x49525431, 8 + 1, kHuge);
+      },
+      // The IPC log's capacity and push count ("IPL2"): more records than
+      // the rest of the payload holds.
+      [](std::vector<std::uint8_t>& p) {
+        PokeU64After(p, 0x49504C32, 0, kHuge);
+        PokeU64After(p, 0x49504C32, 8, kHuge);
+      },
+      // A heap's allocation cursor ("HEA2") past the restorable ceiling.
+      [](std::vector<std::uint8_t>& p) {
+        PokeU64After(p, 0x48454132, 0, kHuge);
       },
   };
   for (std::size_t i = 0; i < edits.size(); ++i) {

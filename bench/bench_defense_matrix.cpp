@@ -67,6 +67,11 @@ int RunDefenseMatrix(const harness::HarnessSpec& spec,
 
   std::printf("matrix: %zu cells from %zu warmed boot images\n",
               result.cells.size(), result.boot_images);
+  // Scheduling-dependent under --jobs > 1, so console-only.
+  std::printf("image_builds %llu, image_evictions %llu, rewinds %llu\n",
+              static_cast<unsigned long long>(result.image_builds),
+              static_cast<unsigned long long>(result.image_evictions),
+              static_cast<unsigned long long>(result.rewinds));
 
   // Console grid, one block per cap: rows = attacks, columns = defenses.
   std::vector<std::size_t> caps;

@@ -66,6 +66,11 @@ int RunFleetCensus(const harness::HarnessSpec& spec,
               "(%zu JGR-cap points)\n",
               runner.fleet().size(), result.image_count,
               matrix.jgr_caps.size());
+  // Scheduling-dependent under --jobs > 1, so console-only.
+  std::printf("image_builds %llu, image_evictions %llu, rewinds %llu\n",
+              static_cast<unsigned long long>(result.image_builds),
+              static_cast<unsigned long long>(result.image_evictions),
+              static_cast<unsigned long long>(result.rewinds));
 
   // Per-class console summary mirroring the census JSON.
   struct ClassRow {

@@ -13,6 +13,8 @@
 // report-threshold, alarm-false-positive, and delta sweeps) so the recorded
 // speedup is the speedup of that bench. --checkpoint/--resume are
 // honored for the warm runner, so CI can exercise the file round-trip here.
+// The bench exits 1 when the speedup is under --min-speedup (default 3; 0
+// turns that wall-clock gate off) or when the warm and cold tallies differ.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -92,6 +94,10 @@ SweepTally Tally(const AblationBranches& branches) {
 int RunSnapshot(const harness::HarnessSpec& spec,
                 const harness::HarnessOptions& opts) {
   SetLogLevel(LogLevel::kError);
+  double min_speedup = 3.0;
+  if (!harness::NonNegativeFlag(opts, "--min-speedup", &min_speedup)) {
+    return 2;
+  }
 
   const sim::DeviceSpec prefix = AblationPrefix(opts.seed);
 
@@ -179,7 +185,7 @@ int RunSnapshot(const harness::HarnessSpec& spec,
   std::printf("\nablation sweep (14 branches, --jobs %d):\n", opts.jobs);
   std::printf("  cold (prefix per branch): %.1f ms\n", cold_ms);
   std::printf("  warm (shared checkpoint): %.1f ms\n", warm_ms);
-  std::printf("  speedup: %.2fx (target: >= 3x)\n", speedup);
+  std::printf("  speedup: %.2fx (target: >= %.1fx)\n", speedup, min_speedup);
   if (!(warm_tally == cold_tally)) {
     std::fprintf(stderr,
                  "warm/cold sweep mismatch (incidents %d vs %d, calls %lld "
@@ -218,7 +224,12 @@ int RunSnapshot(const harness::HarnessSpec& spec,
                  .Set("virtual_us", warm_tally.virtual_us));
     if (!report.Write()) return 1;
   }
-  return speedup >= 3.0 ? 0 : 1;
+  if (speedup < min_speedup) {
+    std::fprintf(stderr, "FAIL: warm/cold sweep speedup %.2fx (< %.1fx)\n",
+                 speedup, min_speedup);
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace jgre::bench

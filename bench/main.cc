@@ -150,7 +150,11 @@ std::vector<Bench> Benches() {
       {"snapshot", "SNAPSHOT",
        "Checkpoint size, save/restore latency, and the BranchRunner sweep "
        "speedup",
-       {.name = "snapshot", .extra_flags = harness::BranchFlags()},
+       {.name = "snapshot",
+        .extra_flags = harness::BranchFlags(
+            {{"--min-speedup", true,
+              "fail unless the warm/cold sweep speedup >= X (default "
+              "3.0)"}})},
        RunSnapshot},
       {"static_analysis", "STATIC ANALYSIS",
        "Summary-based interprocedural taint engine with witness paths",

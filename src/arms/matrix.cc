@@ -302,6 +302,7 @@ MatrixResult MatrixRunner::Run() {
   result.boot_images = fleet_result.image_count;
   result.image_builds = fleet_result.image_builds;
   result.image_evictions = fleet_result.image_evictions;
+  result.rewinds = fleet_result.rewinds;
   result.cells.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     MatrixCell cell;

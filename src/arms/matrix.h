@@ -3,10 +3,16 @@
 // Expands attacks x defense configs x operating points into one fleet of
 // cells and runs each cell as a full device simulation on the fleet layer's
 // warmed-boot-image infrastructure (FleetRunner + ScenarioDriver). A cell
-// restores a device at its JGR-cap operating point, installs the defense
-// config (the paper's kill-based JgreDefender, a MitigationStack of modern
-// admission policies, both, or neither), lets the AttackStrategy drive, and
-// reduces to one MatrixCell:
+// restores a device at its JGR-cap operating point — through FleetRunner's
+// sim::RewindPool, so it usually rewinds the system of a finished same-cap
+// cell in place instead of booting one — installs the defense config (the
+// paper's kill-based JgreDefender, a MitigationStack of modern admission
+// policies, both, or neither), lets the AttackStrategy drive, and reduces to
+// one MatrixCell. The cell's stack, strategy and probe are gone when it
+// returns and DeviceSim::Release detaches the rest, so the system goes back
+// to the pool (a rewind also drops what a strategy registered, such as
+// weakref_churn's service); only a cell that soft-rebooted leaves a system
+// the pool must destroy. Each cell yields:
 //
 //   outcome    — exhausted | killed | denied | survived (in that precedence)
 //   detection  — the defender's incidents plus the follow-up hunt battery
@@ -117,9 +123,12 @@ struct MatrixCell {
 struct MatrixResult {
   std::vector<MatrixCell> cells;  // expansion order
   std::size_t boot_images = 0;    // distinct prefix keys (deterministic)
-  // Cache traffic; scheduling-dependent under --jobs > 1, so console-only.
+  // Cache and pool traffic; scheduling-dependent under --jobs > 1, so
+  // console-only. `rewinds` counts cells served by rewinding a pooled system
+  // instead of a fresh boot.
   std::uint64_t image_builds = 0;
   std::uint64_t image_evictions = 0;
+  std::uint64_t rewinds = 0;
 
   // The jobs-invariant BENCH_matrix.json body: axes plus one entry per cell
   // (outcome, attacker stats, collateral, hunt hits). Never includes the

@@ -562,6 +562,7 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
   // Nodes registered since the checkpoint (and, after a failed read, the one
   // left half-written) leave the table.
   nodes_.resize(static_cast<std::size_t>(restored));
+  snapshot::ReleaseExcess(nodes_);
   next_link_ = in.I64();
   links_.clear();
   for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {

@@ -74,6 +74,13 @@ void IpcLog::RestoreState(snapshot::Deserializer& in) {
   node_.assign(count, 0);
   code_.assign(count, 0);
   descriptor_.assign(count, 0);
+  snapshot::ReleaseExcess(timestamp_);
+  snapshot::ReleaseExcess(from_pid_);
+  snapshot::ReleaseExcess(from_uid_);
+  snapshot::ReleaseExcess(to_pid_);
+  snapshot::ReleaseExcess(node_);
+  snapshot::ReleaseExcess(code_);
+  snapshot::ReleaseExcess(descriptor_);
   for (std::size_t i = 0; i < count && in.ok(); ++i) timestamp_[i] = in.U64();
   for (std::size_t i = 0; i < count && in.ok(); ++i) {
     from_pid_[i] = static_cast<std::int32_t>(in.I64());

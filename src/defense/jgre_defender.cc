@@ -21,6 +21,8 @@ JgreDefender::~JgreDefender() {
     system_->SetPostRebootHook(nullptr);
     hub_.reset();  // unsubscribes its kJgr route
     if (tap_ != nullptr) system_->kernel().bus().Unsubscribe(tap_.get());
+    // The provider captures `this`; the system may outlive the defender.
+    system_->kernel().procfs().Unregister("/proc/jgre_ipc_log");
   }
 }
 

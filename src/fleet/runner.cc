@@ -167,7 +167,7 @@ Status FleetRunner::Prepare() {
   return Status::Ok();
 }
 
-std::unique_ptr<core::AndroidSystem> FleetRunner::RestoreDevice(
+std::shared_ptr<const snapshot::SystemSnapshot> FleetRunner::Image(
     std::size_t index) {
   const sim::DeviceSpec& spec = fleet_[index].device;
   auto image = cache_.Get(key_of_[index], [&spec] {
@@ -180,8 +180,7 @@ std::unique_ptr<core::AndroidSystem> FleetRunner::RestoreDevice(
                                     "): boot image build failed: ",
                                     image.status().ToString()));
   }
-  return sim::RestorePrefix(spec, *image.value(),
-                            StrCat("FleetRunner (device ", index, ")"));
+  return std::move(image).value();
 }
 
 FleetResult FleetRunner::Run() {
@@ -190,16 +189,25 @@ FleetResult FleetRunner::Run() {
 
   FleetResult result;
   result.image_count = distinct_keys_;
+  sim::RewindPool pool(
+      static_cast<std::size_t>(harness::ResolveJobs(options_.jobs)));
   result.outcomes = harness::RunOrdered<DeviceOutcome>(
-      fleet_.size(), options_.jobs, [this](std::size_t i) {
+      fleet_.size(), options_.jobs, [this, &pool](std::size_t i) {
+        const std::shared_ptr<const snapshot::SystemSnapshot> image = Image(i);
         sim::DeviceFactory factory(fleet_[i].device);
-        std::unique_ptr<sim::DeviceSim> device =
-            factory.CreateDeviceOn(RestoreDevice(i));
-        return options_.scenario_driver
-                   ? options_.scenario_driver(fleet_[i], *device,
-                                              options_.catalog)
-                   : RunDeviceScenario(fleet_[i], *device, options_.catalog);
+        std::unique_ptr<sim::DeviceSim> device = factory.CreateDeviceOn(
+            pool.Restore(fleet_[i].device, key_of_[i], *image,
+                         StrCat("FleetRunner (device ", i, ")")));
+        DeviceOutcome outcome =
+            options_.scenario_driver
+                ? options_.scenario_driver(fleet_[i], *device,
+                                           options_.catalog)
+                : RunDeviceScenario(fleet_[i], *device, options_.catalog);
+        pool.Recycle(key_of_[i], *image, device->Release());
+        return outcome;
       });
+  pool.Drain();
+  result.rewinds = pool.rewinds();
   result.image_builds = cache_.builds();
   result.image_evictions = cache_.evictions();
   // Fold in submission order; MergeFrom-based shard folds land on the same

@@ -11,12 +11,18 @@
 //      residency *budget*, not a cap on distinct keys — a fleet with more
 //      prefix diversity than slots just rebuilds cold keys on re-use
 //      (deterministically: BootPrefix reproduces the same bytes).
-//   2. Run(): harness::RunOrdered over the devices. Each task restores a
-//      fresh AndroidSystem from its group's image, completes the device with
-//      DeviceFactory::CreateDeviceOn, runs its scenario (flood, drip, or
-//      benign-only) to its horizon, and reduces to a DeviceOutcome. Results
-//      land in submission order and the aggregator folds them in that order,
-//      so the census is byte-identical for any --jobs.
+//   2. Run(): harness::RunOrdered over the devices. Each task takes a
+//      system at its group's image from a sim::RewindPool — a finished
+//      device's system, already rewound in place, or a fresh boot restored
+//      from the image when the pool has none for that image — completes the
+//      device with DeviceFactory::CreateDeviceOn, runs its scenario (flood,
+//      drip, or benign-only) to its horizon, and reduces to a DeviceOutcome.
+//      Then DeviceSim::Release detaches the device and the pool rewinds the
+//      system and keeps it for the same worker's next device (at most one
+//      per worker; drained before Run returns). A rewind is byte-exact, so
+//      results do not depend on which system served a device. Results land
+//      in submission order and the aggregator folds them in that order, so
+//      the census is byte-identical for any --jobs.
 #ifndef JGRE_FLEET_RUNNER_H_
 #define JGRE_FLEET_RUNNER_H_
 
@@ -32,6 +38,7 @@
 #include "fleet/aggregator.h"
 #include "fleet/image_cache.h"
 #include "fleet/spec.h"
+#include "sim/device.h"
 #include "snapshot/snapshot.h"
 
 namespace jgre::fleet {
@@ -66,6 +73,9 @@ struct FleetResult {
   std::size_t image_count = 0;
   std::uint64_t image_builds = 0;
   std::uint64_t image_evictions = 0;
+  // Devices served by rewinding a pooled system instead of a fresh boot;
+  // scheduling-dependent like the rebuild counters, so console-only.
+  std::uint64_t rewinds = 0;
 };
 
 // Runs one device's scenario to completion and reduces it, including the
@@ -103,7 +113,8 @@ class FleetRunner {
   const BootImageCache& image_cache() const { return cache_; }
 
  private:
-  std::unique_ptr<core::AndroidSystem> RestoreDevice(std::size_t index);
+  // Device `index`'s boot image, built on first use (or after an eviction).
+  std::shared_ptr<const snapshot::SystemSnapshot> Image(std::size_t index);
 
   std::vector<FleetDeviceSpec> fleet_;
   FleetOptions options_;

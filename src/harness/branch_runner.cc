@@ -29,7 +29,10 @@ BranchOptions BranchOptionsFromHarness(const HarnessOptions& options) {
 }
 
 BranchRunner::BranchRunner(sim::DeviceSpec prefix, BranchOptions options)
-    : prefix_(std::move(prefix)), options_(std::move(options)) {}
+    : prefix_(std::move(prefix)),
+      prefix_key_(sim::PrefixKey(prefix_)),
+      options_(std::move(options)),
+      pool_(static_cast<std::size_t>(ResolveJobs(options_.jobs))) {}
 
 Status BranchRunner::Prepare() {
   if (options_.cold || snapshot_.has_value()) return Status::Ok();
@@ -65,36 +68,13 @@ std::unique_ptr<core::AndroidSystem> BranchRunner::RestoreBranchSystem(
   if (!snapshot_.has_value()) {
     throw std::runtime_error(StrCat(context, ": Prepare() has not captured"));
   }
-  std::unique_ptr<core::AndroidSystem> pooled;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    if (!pool_.empty()) {
-      pooled = std::move(pool_.back());
-      pool_.pop_back();
-    }
-  }
-  return sim::RestorePrefix(prefix_, *snapshot_, context, std::move(pooled));
+  return pool_.Restore(prefix_, prefix_key_, *snapshot_, context);
 }
 
 void BranchRunner::RecycleBranchSystem(
     std::unique_ptr<core::AndroidSystem> system) const {
-  if (system == nullptr || !snapshot_.has_value()) return;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    if (pool_.size() < static_cast<std::size_t>(ResolveJobs(options_.jobs))) {
-      pool_.push_back(std::move(system));
-      return;
-    }
-  }
-  // A full pool: `system` is destroyed here, outside the lock.
-}
-
-void BranchRunner::DrainBranchSystems() const {
-  std::vector<std::unique_ptr<core::AndroidSystem>> drained;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    drained.swap(pool_);
-  }
+  if (!snapshot_.has_value()) return;
+  pool_.Recycle(prefix_key_, *snapshot_, std::move(system));
 }
 
 }  // namespace jgre::harness

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -76,14 +75,18 @@ class BranchRunner {
         throw std::runtime_error(prepared.ToString());
       }
     }
-    return RunOrdered<Result>(
+    std::vector<Result> results = RunOrdered<Result>(
         count, options_.jobs, [this, &branch_spec, &task](std::size_t i) {
           sim::DeviceFactory factory(branch_spec(i));
           std::unique_ptr<sim::DeviceSim> device =
               options_.cold ? factory.CreateDevice()
                             : factory.CreateDeviceOn(RestoreBranchSystem(i));
-          return task(i, *device);
+          Result result = task(i, *device);
+          RecycleBranchSystem(device->Release());
+          return result;
         });
+    DrainBranchSystems();
+    return results;
   }
 
   // The captured checkpoint (null before Prepare or in cold mode).
@@ -92,33 +95,33 @@ class BranchRunner {
   }
   const BranchOptions& options() const { return options_; }
 
-  // A system at the shared checkpoint, through sim::RestorePrefix: a system
-  // from the reset pool rewound in place, or a freshly restored one when
-  // the pool is empty or its system cannot be rewound exactly. Exposed for
-  // the fuzz campaign's snapshot-reset loop; Run uses it per branch (fresh:
-  // its devices install hooks, so their systems are never recycled). A
-  // restore failure throws with the failing shard/branch index (when given)
-  // and the checkpoint's manifest path, so a corrupt image is attributable
-  // mid-campaign. Thread-safe.
+  // A system at the shared checkpoint, from the reset pool
+  // (sim::RewindPool): a recycled system the pool rewound in place, or a
+  // freshly restored one when the pool has none. The fuzz campaign's
+  // snapshot-reset loop calls it per execution, Run per branch; Run hands
+  // each branch's system back through DeviceSim::Release, which detaches
+  // the device's hooks first. A restore failure throws with the failing
+  // shard/branch index (when given) and the checkpoint's manifest path, so a
+  // corrupt image is attributable mid-campaign. Thread-safe.
   std::unique_ptr<core::AndroidSystem> RestoreBranchSystem(
       std::optional<std::size_t> branch_index = std::nullopt) const;
 
   // Returns a system RestoreBranchSystem handed out, once its execution is
-  // done, to the reset pool. The pool keeps at most `jobs` systems (one per
-  // worker) and drops the rest, and everything in cold mode. Thread-safe.
+  // done, to the reset pool, which rewinds it and keeps at most `jobs`
+  // systems (one per worker). Drops everything before Prepare and in cold
+  // mode. Thread-safe.
   void RecycleBranchSystem(std::unique_ptr<core::AndroidSystem> system) const;
   // Destroys the pooled systems, so their memory does not outlive the
   // campaign phase that filled the pool. Thread-safe.
-  void DrainBranchSystems() const;
+  void DrainBranchSystems() const { pool_.Drain(); }
 
  private:
   sim::DeviceSpec prefix_;
+  std::uint64_t prefix_key_;
   BranchOptions options_;
   std::optional<snapshot::SystemSnapshot> snapshot_;
-  // The reset pool: driven systems waiting to be rewound. A cache behind
-  // the const reset interface.
-  mutable std::mutex pool_mu_;
-  mutable std::vector<std::unique_ptr<core::AndroidSystem>> pool_;
+  // A cache behind the const reset interface.
+  mutable sim::RewindPool pool_;
 };
 
 }  // namespace jgre::harness

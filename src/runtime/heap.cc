@@ -114,6 +114,13 @@ void Heap::RestoreState(snapshot::Deserializer& in) {
   managed_ref_.assign(slots, kHeapNullRef);
   weak_ref_.assign(slots, kHeapNullRef);
   node_.assign(slots, NodeId{}.value());
+  snapshot::ReleaseExcess(kind_);
+  snapshot::ReleaseExcess(holds_);
+  snapshot::ReleaseExcess(label_);
+  snapshot::ReleaseExcess(managed_ref_);
+  snapshot::ReleaseExcess(weak_ref_);
+  snapshot::ReleaseExcess(node_);
+  snapshot::ReleaseExcess(unheld_candidates_);
   const std::uint64_t live = in.U64();
   for (std::uint64_t i = 0; i < live && in.ok(); ++i) {
     const std::int64_t id = in.I64();

@@ -197,6 +197,7 @@ void IndirectReferenceTable::RestoreState(snapshot::Deserializer& in) {
   }
   top_index_ = static_cast<std::size_t>(top_index);
   slots_.assign(top_index_, Slot{});
+  snapshot::ReleaseExcess(slots_);
   for (std::size_t i = 0; i < top_index_ && in.ok(); ++i) {
     Slot& slot = slots_[i];
     slot.obj = ObjectId{in.I64()};

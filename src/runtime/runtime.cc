@@ -186,6 +186,8 @@ void Runtime::RestoreState(snapshot::Deserializer& in) {
     if (slot >= proxy_by_node_.size()) proxy_by_node_.resize(slot + 1, 0);
     proxy_by_node_[slot] = obj.value();
   });
+  snapshot::ReleaseExcess(proxy_by_node_);
+  snapshot::ReleaseExcess(gc_candidates_);
 }
 
 }  // namespace jgre::rt

@@ -1,5 +1,7 @@
 #include "sim/device.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "common/log.h"
@@ -66,6 +68,66 @@ std::unique_ptr<core::AndroidSystem> RestorePrefix(
         StrCat(context, ": restore failed: ", restored.ToString()));
   }
   return system;
+}
+
+std::unique_ptr<core::AndroidSystem> RewindPool::Restore(
+    const DeviceSpec& spec, std::uint64_t key,
+    const snapshot::SystemSnapshot& image, std::string_view context) {
+  std::unique_ptr<core::AndroidSystem> pooled, stale;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const std::thread::id self = std::this_thread::get_id();
+    auto it = std::find_if(systems_.begin(), systems_.end(),
+                           [self](const Entry& e) { return e.owner == self; });
+    if (it != systems_.end() && it->key != key) {
+      stale = std::move(it->system);
+      systems_.erase(it);
+      it = systems_.end();
+    }
+    if (it == systems_.end()) {
+      auto last = std::find_if(systems_.rbegin(), systems_.rend(),
+                               [key](const Entry& e) { return e.key == key; });
+      if (last != systems_.rend()) it = std::next(last).base();
+    }
+    if (it != systems_.end()) {
+      pooled = std::move(it->system);
+      systems_.erase(it);
+    }
+  }
+  // Recycle left it at the checkpoint of the image it last rewound to; an
+  // image rebuilt since (a cache eviction) is a different one.
+  if (pooled != nullptr && image.CanRewind(*pooled)) {
+    ++rewinds_;
+    return pooled;
+  }
+  pooled.reset();  // freed before the fresh boot, not after it
+  stale.reset();
+  return RestorePrefix(spec, image, context);
+}
+
+void RewindPool::Recycle(std::uint64_t key,
+                         const snapshot::SystemSnapshot& image,
+                         std::unique_ptr<core::AndroidSystem> system) {
+  if (system == nullptr || capacity_ == 0 || !image.CanRewind(*system)) return;
+  Status rewound = image.RewindInto(system.get());
+  if (!rewound.ok()) {
+    JGRE_LOG(kWarning, "RewindPool")
+        << "rewind failed, dropping the system: " << rewound.ToString();
+    return;
+  }
+  std::unique_ptr<core::AndroidSystem> evicted;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (systems_.size() >= capacity_) {
+    evicted = std::move(systems_.front().system);
+    systems_.erase(systems_.begin());
+  }
+  systems_.push_back({std::this_thread::get_id(), key, std::move(system)});
+}
+
+void RewindPool::Drain() {
+  std::vector<Entry> drained;
+  std::lock_guard<std::mutex> lock(mu_);
+  drained.swap(systems_);
 }
 
 std::unique_ptr<core::AndroidSystem> DeviceFactory::BootPrefix() const {
@@ -143,8 +205,22 @@ DeviceSim::DeviceSim(const DeviceSpec& spec,
 }
 
 DeviceSim::~DeviceSim() {
-  if (trace_ != nullptr) bus().Unsubscribe(trace_.get());
+  if (system_ != nullptr) Release();
+}
+
+std::unique_ptr<core::AndroidSystem> DeviceSim::Release() {
+  // The constructor's install order, reversed.
+  attacker_.reset();
+  attacker_process_ = nullptr;
+  benign_.reset();
+  next_benign_.clear();
   if (metrics_sink_ != nullptr) bus().Unsubscribe(metrics_sink_.get());
+  metrics_sink_.reset();
+  metrics_.reset();
+  if (trace_ != nullptr) bus().Unsubscribe(trace_.get());
+  trace_.reset();
+  defender_.reset();
+  return std::move(system_);
 }
 
 obs::TraceBuffer* DeviceSim::trace() {

@@ -36,11 +36,14 @@
 #ifndef JGRE_SIM_DEVICE_H_
 #define JGRE_SIM_DEVICE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "attack/benign_workload.h"
@@ -199,12 +202,76 @@ std::unique_ptr<core::AndroidSystem> RestorePrefix(
     std::string_view context,
     std::unique_ptr<core::AndroidSystem> rewind = nullptr);
 
+// The reset pool: systems that finished a run, rewound in place to the
+// checkpoint they were restored from and waiting to serve the next run from
+// it, each tagged with that image's PrefixKey. Recycle rewinds a system as
+// soon as its run is done (SystemSnapshot::RewindInto), so the pool holds
+// systems at the checkpoint, not the garbage their runs left behind; a
+// system that cannot rewind exactly (a soft reboot, a hook left installed,
+// another image) is destroyed instead.
+//
+// A worker gets back the system it recycled itself when that one fits, and
+// drops it when it was for another image: then every worker holds one
+// system, in flight or pooled, as it did when it booted a fresh one per run,
+// and each system stays in the allocator arena of the thread that drives it.
+// A worker with none of its own (a new worker of a later phase) takes the
+// most recently recycled system of the image. The pool keeps at most
+// `capacity` systems (one per worker) and evicts the oldest past that.
+// Thread-safe.
+class RewindPool {
+ public:
+  explicit RewindPool(std::size_t capacity) : capacity_(capacity) {}
+  ~RewindPool() { Drain(); }
+
+  RewindPool(const RewindPool&) = delete;
+  RewindPool& operator=(const RewindPool&) = delete;
+
+  // A system at `image`'s checkpoint: the most recently recycled system
+  // tagged `key` when it was rewound to this very image, else (and when the
+  // pool holds none) RestorePrefix(spec, image, context).
+  std::unique_ptr<core::AndroidSystem> Restore(
+      const DeviceSpec& spec, std::uint64_t key,
+      const snapshot::SystemSnapshot& image, std::string_view context);
+  // Takes back a system Restore handed out for `key` and `image`, once its
+  // run is done and everything the run installed is detached.
+  void Recycle(std::uint64_t key, const snapshot::SystemSnapshot& image,
+               std::unique_ptr<core::AndroidSystem> system);
+  // Destroys the pooled systems, so their memory does not outlive the phase
+  // that filled the pool.
+  void Drain();
+
+  // Restores served by a pooled system rather than a fresh boot.
+  std::uint64_t rewinds() const { return rewinds_.load(); }
+
+ private:
+  struct Entry {
+    std::thread::id owner;  // the worker that recycled it
+    std::uint64_t key = 0;
+    std::unique_ptr<core::AndroidSystem> system;
+  };
+
+  const std::size_t capacity_;
+  std::mutex mu_;
+  std::vector<Entry> systems_;  // oldest first
+  std::atomic<std::uint64_t> rewinds_{0};
+};
+
 // One live simulated device. Owns every piece of per-device state; never
 // shares interned tables, observability sinks, or RNG streams with another
-// DeviceSim. Single-use: build a fresh one per run.
+// DeviceSim. Single-use: build one per run; when the run is done, Release()
+// hands the system back for a RewindPool to rewind into the next device.
 class DeviceSim {
  public:
   ~DeviceSim();
+
+  // Destroys what the constructor installed, in reverse order — attacker,
+  // benign workload, metrics sink, trace sink, then the defender (which
+  // clears its pump extension, post-reboot hook, bus taps and procfs file)
+  // — and returns the system, detached. The device is empty afterwards;
+  // call nothing else on it. A system that did not soft-reboot is then
+  // AndroidSystem::Rewindable(), provided whatever else the run installed
+  // (a mitigation stack's gate, a probe's subscription) is gone too.
+  std::unique_ptr<core::AndroidSystem> Release();
 
   DeviceSim(const DeviceSim&) = delete;
   DeviceSim& operator=(const DeviceSim&) = delete;

@@ -214,6 +214,22 @@ void SaveUnorderedMap(Serializer& out, const Map& map, SaveEntryFn save_entry) {
   for (const auto& key : keys) save_entry(out, key, map.at(key));
 }
 
+// For restores that write into a container a run has since grown: gives the
+// capacity past what the restored state needs back to the allocator, so a
+// system rewound in place (SystemSnapshot::RewindInto) holds what a fresh
+// restore holds rather than the high-water mark of every run it served.
+// Capacity within 2x of the size (or under 4 KiB) is kept: that much growth
+// is what a fresh system reaches anyway, and reallocating it every rewind
+// would cost more than it returns.
+template <typename T>
+void ReleaseExcess(std::vector<T>& v) {
+  constexpr std::size_t kKeptBytes = 4096;
+  if (v.capacity() > 2 * v.size() &&
+      (v.capacity() - v.size()) * sizeof(T) > kKeptBytes) {
+    v.shrink_to_fit();
+  }
+}
+
 }  // namespace jgre::snapshot
 
 #endif  // JGRE_SNAPSHOT_SERIALIZER_H_

@@ -18,6 +18,7 @@
 #include "core/android_system.h"
 #include "runtime/runtime.h"
 #include "sim/device.h"
+#include "snapshot/snapshot.h"
 
 namespace jgre::arms {
 namespace {
@@ -337,6 +338,57 @@ TEST(MatrixRunnerTest, GridIsByteIdenticalAcrossJobsAndImageBudgets) {
   }
   EXPECT_TRUE(flood_exhausts);
   EXPECT_TRUE(quota_denies);
+  // Same-cap cells after the first ran on rewound systems.
+  EXPECT_GT(ra.rewinds, 0u);
+}
+
+// A matrix cell's device under a mitigation stack, driven by the strategy
+// that registers a service of its own: once the cell's stack and strategy
+// are gone, Release leaves no hook behind — in particular no procfs provider
+// pointing at the destroyed defender — and a rewind drops the cell's
+// service.
+TEST(MatrixRunnerTest, ReleasedCellDetachesAndRewinds) {
+  sim::DeviceSpec spec;
+  spec.WithSeed(42).WithWarmup(1, 200'000).WithBenignApps(1).WithThresholds(
+      1'000, 2'000);
+  const sim::DeviceFactory factory(spec);
+  auto image = snapshot::SystemSnapshot::Capture(*factory.BootPrefix());
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  std::unique_ptr<sim::DeviceSim> device = factory.CreateDeviceOn(
+      sim::RestorePrefix(spec, image.value(), "cell test"));
+  core::AndroidSystem& system = device->system();
+  {
+    MitigationStack::Config config;
+    config.victim = system.system_server_pid();
+    MitigationStack stack(&system, config);
+    stack.Add(std::make_unique<PerUidQuota>());
+    stack.Install();
+    AttackPlan plan;
+    plan.name = "weakref_churn";
+    plan.max_calls = 200;
+    std::unique_ptr<AttackStrategy> strategy = MakeStrategy(plan);
+    ASSERT_TRUE(strategy->Setup(system).ok());
+    while (strategy->Step(system)) {
+    }
+    EXPECT_TRUE(system.service_manager().GetService("weakwatch", Pid{1}).ok());
+  }
+
+  std::unique_ptr<core::AndroidSystem> released = device->Release();
+  device.reset();
+  EXPECT_FALSE(released->kernel().procfs().Exists("/proc/jgre_ipc_log"));
+  EXPECT_EQ(released->kernel()
+                .procfs()
+                .Read("/proc/jgre_ipc_log", kSystemUid)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(image.value().CanRewind(*released));
+  ASSERT_TRUE(image.value().RewindInto(released.get()).ok());
+  EXPECT_FALSE(
+      released->service_manager().GetService("weakwatch", Pid{1}).ok());
+  auto recaptured = snapshot::SystemSnapshot::Capture(*released);
+  ASSERT_TRUE(recaptured.ok());
+  EXPECT_TRUE(recaptured.value().payload() == image.value().payload());
 }
 
 }  // namespace

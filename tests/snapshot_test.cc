@@ -320,6 +320,69 @@ TEST(SystemSnapshotTest, RewindRequiresAPlainSystemRestoredFromTheImage) {
   EXPECT_EQ(system->rewinds(), 1);
 }
 
+// Steps a device's attacker and, every 50 steps, each benign app.
+void DriveDevice(sim::DeviceSim& device, int steps) {
+  for (int i = 0; i < steps; ++i) {
+    (void)device.attacker()->Step();
+    if (i % 50 != 0) continue;
+    for (std::size_t app = 0; app < device.benign_schedule().size(); ++app) {
+      device.benign()->InteractOnce(app);
+    }
+  }
+}
+
+// A finished device detaches everything it installed — attacker, benign
+// workload, metrics and trace sinks, defender (with its procfs file) — so
+// its system rewinds to the checkpoint bytes, and the next device built on
+// it replays event for event what a device on a fresh restore does.
+TEST(SystemSnapshotTest, ReleasedDeviceRewindsLikeAFreshRestore) {
+  sim::DeviceSpec spec = SmallScenario(42);
+  spec.WithTrace().WithMetrics();
+  const sim::DeviceFactory factory(spec);
+  auto captured = snapshot::SystemSnapshot::Capture(*factory.BootPrefix());
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  const snapshot::SystemSnapshot& image = captured.value();
+
+  std::unique_ptr<sim::DeviceSim> device =
+      factory.CreateDeviceOn(sim::RestorePrefix(spec, image, "release test"));
+  ASSERT_NE(device->defender(), nullptr);
+  ASSERT_NE(device->trace(), nullptr);
+  ASSERT_NE(device->metrics(), nullptr);
+  EXPECT_TRUE(device->system().kernel().procfs().Exists("/proc/jgre_ipc_log"));
+  DriveDevice(*device, 300);
+  ASSERT_EQ(device->system().soft_reboots(), 0);
+
+  std::unique_ptr<core::AndroidSystem> system = device->Release();
+  device.reset();
+  EXPECT_FALSE(system->kernel().procfs().Exists("/proc/jgre_ipc_log"));
+  EXPECT_EQ(system->kernel()
+                .procfs()
+                .Read("/proc/jgre_ipc_log", kSystemUid)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(image.CanRewind(*system));
+  ASSERT_TRUE(image.RewindInto(system.get()).ok());
+  EXPECT_TRUE(CapturePayload(*system) == image.payload());
+
+  const auto replay = [&](std::unique_ptr<core::AndroidSystem> base) {
+    snapshot::EventTape tape;
+    base->kernel().bus().Subscribe(&tape, obs::kAllCategories);
+    std::unique_ptr<sim::DeviceSim> next =
+        factory.CreateDeviceOn(std::move(base));
+    DriveDevice(*next, 300);
+    next->bus().Unsubscribe(&tape);
+    return tape.events();
+  };
+  const std::vector<obs::TraceEvent> rewound = replay(std::move(system));
+  const std::vector<obs::TraceEvent> fresh =
+      replay(sim::RestorePrefix(spec, image, "release test"));
+  EXPECT_FALSE(fresh.empty());
+  const auto divergence = snapshot::FirstDivergence(fresh, rewound);
+  EXPECT_FALSE(divergence.has_value())
+      << (divergence ? divergence->description : "");
+}
+
 // The rewind skips a runtime only while its mutation epoch proves nothing
 // changed it. Each kind of change, made to a dead warm-up process's runtime
 // (which nothing else touches, so it is skipped otherwise), must be undone

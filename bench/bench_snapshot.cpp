@@ -7,14 +7,16 @@
 //   * the end-to-end speedup BranchRunner buys bench_ablation_thresholds'
 //     14-point sweep over the --cold baseline that re-simulates the shared
 //     prefix per point (the figure of merit: warm mode amortizes one prefix
-//     across every branch, so the sweep should run several times faster).
+//     across every branch, so the sweep should run several times faster),
+//     from the median warm and cold times of three sweep pairs.
 //
 // The sweep runs ablation_thresholds' own 14 branches (RunAblationBranches:
 // report-threshold, alarm-false-positive, and delta sweeps) so the recorded
 // speedup is the speedup of that bench. --checkpoint/--resume are
 // honored for the warm runner, so CI can exercise the file round-trip here.
-// The bench exits 1 when the speedup is under --min-speedup (default 3; 0
-// turns that wall-clock gate off) or when the warm and cold tallies differ.
+// The bench exits 1 when the speedup is under 3x or when the warm and cold
+// tallies differ; the wall-clock floor is the `perf`-labelled ctest
+// snapshot_sweep_speedup_floor.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,6 +37,9 @@ namespace jgre::bench {
 namespace {
 
 using WallClock = std::chrono::steady_clock;
+
+// The warm/cold sweep speedup below which the bench fails.
+constexpr double kMinSpeedup = 3.0;
 
 double MsSince(WallClock::time_point start) {
   return std::chrono::duration<double, std::milli>(WallClock::now() - start)
@@ -94,10 +99,6 @@ SweepTally Tally(const AblationBranches& branches) {
 int RunSnapshot(const harness::HarnessSpec& spec,
                 const harness::HarnessOptions& opts) {
   SetLogLevel(LogLevel::kError);
-  double min_speedup = 3.0;
-  if (!harness::NonNegativeFlag(opts, "--min-speedup", &min_speedup)) {
-    return 2;
-  }
 
   const sim::DeviceSpec prefix = AblationPrefix(opts.seed);
 
@@ -167,34 +168,43 @@ int RunSnapshot(const harness::HarnessSpec& spec,
   cold_options.checkpoint_path.clear();
   cold_options.resume_path.clear();
 
-  harness::BranchRunner warm_runner(prefix, warm_options);
-  auto warm_start = WallClock::now();
-  // The timed region includes the warm prefix build + capture (the first
-  // sweep's Prepare): the speedup is end-to-end, not just the branch phase.
-  const SweepTally warm_tally =
-      Tally(RunAblationBranches(warm_runner, prefix));
-  const double warm_ms = MsSince(warm_start);
+  // One warm/cold pair read anywhere from 3.0x to 5.6x on a shared 4-vCPU
+  // host, so the speedup is taken over the median of three pairs.
+  constexpr int kSweepRounds = 3;
+  std::vector<double> warm_samples, cold_samples;
+  SweepTally warm_tally, cold_tally;
+  for (int round = 0; round < kSweepRounds; ++round) {
+    harness::BranchRunner warm_runner(prefix, warm_options);
+    auto warm_start = WallClock::now();
+    // The timed region includes the warm prefix build + capture (the
+    // sweep's Prepare): the speedup is end-to-end, not just the branch
+    // phase.
+    warm_tally = Tally(RunAblationBranches(warm_runner, prefix));
+    warm_samples.push_back(MsSince(warm_start));
 
-  harness::BranchRunner cold_runner(prefix, cold_options);
-  auto cold_start = WallClock::now();
-  const SweepTally cold_tally =
-      Tally(RunAblationBranches(cold_runner, prefix));
-  const double cold_ms = MsSince(cold_start);
+    harness::BranchRunner cold_runner(prefix, cold_options);
+    auto cold_start = WallClock::now();
+    cold_tally = Tally(RunAblationBranches(cold_runner, prefix));
+    cold_samples.push_back(MsSince(cold_start));
+    if (!(warm_tally == cold_tally)) {
+      std::fprintf(stderr,
+                   "warm/cold sweep mismatch (incidents %d vs %d, calls %lld "
+                   "vs %lld, virtual us %llu vs %llu) — branches diverged\n",
+                   warm_tally.incidents, cold_tally.incidents,
+                   warm_tally.attacker_calls, cold_tally.attacker_calls,
+                   warm_tally.virtual_us, cold_tally.virtual_us);
+      return 1;
+    }
+  }
+  const double warm_ms = MedianMs(warm_samples);
+  const double cold_ms = MedianMs(cold_samples);
 
   const double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0;
-  std::printf("\nablation sweep (14 branches, --jobs %d):\n", opts.jobs);
+  std::printf("\nablation sweep (14 branches, --jobs %d, median of %d):\n",
+              opts.jobs, kSweepRounds);
   std::printf("  cold (prefix per branch): %.1f ms\n", cold_ms);
   std::printf("  warm (shared checkpoint): %.1f ms\n", warm_ms);
-  std::printf("  speedup: %.2fx (target: >= %.1fx)\n", speedup, min_speedup);
-  if (!(warm_tally == cold_tally)) {
-    std::fprintf(stderr,
-                 "warm/cold sweep mismatch (incidents %d vs %d, calls %lld "
-                 "vs %lld, virtual us %llu vs %llu) — branches diverged\n",
-                 warm_tally.incidents, cold_tally.incidents,
-                 warm_tally.attacker_calls, cold_tally.attacker_calls,
-                 warm_tally.virtual_us, cold_tally.virtual_us);
-    return 1;
-  }
+  std::printf("  speedup: %.2fx (target: >= %.1fx)\n", speedup, kMinSpeedup);
   std::printf("  incidents %d, attacker calls %lld, virtual time %.1f s "
               "(identical warm and cold)\n",
               warm_tally.incidents, warm_tally.attacker_calls,
@@ -224,9 +234,9 @@ int RunSnapshot(const harness::HarnessSpec& spec,
                  .Set("virtual_us", warm_tally.virtual_us));
     if (!report.Write()) return 1;
   }
-  if (speedup < min_speedup) {
+  if (speedup < kMinSpeedup) {
     std::fprintf(stderr, "FAIL: warm/cold sweep speedup %.2fx (< %.1fx)\n",
-                 speedup, min_speedup);
+                 speedup, kMinSpeedup);
     return 1;
   }
   return 0;

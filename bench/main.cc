@@ -150,11 +150,7 @@ std::vector<Bench> Benches() {
       {"snapshot", "SNAPSHOT",
        "Checkpoint size, save/restore latency, and the BranchRunner sweep "
        "speedup",
-       {.name = "snapshot",
-        .extra_flags = harness::BranchFlags(
-            {{"--min-speedup", true,
-              "fail unless the warm/cold sweep speedup >= X (default "
-              "3.0)"}})},
+       {.name = "snapshot", .extra_flags = harness::BranchFlags()},
        RunSnapshot},
       {"static_analysis", "STATIC ANALYSIS",
        "Summary-based interprocedural taint engine with witness paths",

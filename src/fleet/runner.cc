@@ -189,21 +189,20 @@ FleetResult FleetRunner::Run() {
 
   FleetResult result;
   result.image_count = distinct_keys_;
-  sim::RewindPool pool(
-      static_cast<std::size_t>(harness::ResolveJobs(options_.jobs)));
+  sim::RewindPool pool;
   result.outcomes = harness::RunOrdered<DeviceOutcome>(
       fleet_.size(), options_.jobs, [this, &pool](std::size_t i) {
         const std::shared_ptr<const snapshot::SystemSnapshot> image = Image(i);
         sim::DeviceFactory factory(fleet_[i].device);
         std::unique_ptr<sim::DeviceSim> device = factory.CreateDeviceOn(
-            pool.Restore(fleet_[i].device, key_of_[i], *image,
+            pool.Restore(fleet_[i].device, *image,
                          StrCat("FleetRunner (device ", i, ")")));
         DeviceOutcome outcome =
             options_.scenario_driver
                 ? options_.scenario_driver(fleet_[i], *device,
                                            options_.catalog)
                 : RunDeviceScenario(fleet_[i], *device, options_.catalog);
-        pool.Recycle(key_of_[i], *image, device->Release());
+        pool.Recycle(*image, device->Release());
         return outcome;
       });
   pool.Drain();

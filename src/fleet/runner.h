@@ -18,8 +18,9 @@
 //      device with DeviceFactory::CreateDeviceOn, runs its scenario (flood,
 //      drip, or benign-only) to its horizon, and reduces to a DeviceOutcome.
 //      Then DeviceSim::Release detaches the device and the pool rewinds the
-//      system and keeps it for the same worker's next device (at most one
-//      per worker; drained before Run returns). A rewind is byte-exact, so
+//      system and keeps it for a later device of the same image (a fresh
+//      boot displaces a pooled system, so there is one system per worker;
+//      drained before Run returns). A rewind is byte-exact, so
 //      results do not depend on which system served a device. Results land
 //      in submission order and the aggregator folds them in that order, so
 //      the census is byte-identical for any --jobs.

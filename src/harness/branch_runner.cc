@@ -30,9 +30,7 @@ BranchOptions BranchOptionsFromHarness(const HarnessOptions& options) {
 
 BranchRunner::BranchRunner(sim::DeviceSpec prefix, BranchOptions options)
     : prefix_(std::move(prefix)),
-      prefix_key_(sim::PrefixKey(prefix_)),
-      options_(std::move(options)),
-      pool_(static_cast<std::size_t>(ResolveJobs(options_.jobs))) {}
+      options_(std::move(options)) {}
 
 Status BranchRunner::Prepare() {
   if (options_.cold || snapshot_.has_value()) return Status::Ok();
@@ -68,13 +66,13 @@ std::unique_ptr<core::AndroidSystem> BranchRunner::RestoreBranchSystem(
   if (!snapshot_.has_value()) {
     throw std::runtime_error(StrCat(context, ": Prepare() has not captured"));
   }
-  return pool_.Restore(prefix_, prefix_key_, *snapshot_, context);
+  return pool_.Restore(prefix_, *snapshot_, context);
 }
 
 void BranchRunner::RecycleBranchSystem(
     std::unique_ptr<core::AndroidSystem> system) const {
   if (!snapshot_.has_value()) return;
-  pool_.Recycle(prefix_key_, *snapshot_, std::move(system));
+  pool_.Recycle(*snapshot_, std::move(system));
 }
 
 }  // namespace jgre::harness

@@ -107,9 +107,9 @@ class BranchRunner {
       std::optional<std::size_t> branch_index = std::nullopt) const;
 
   // Returns a system RestoreBranchSystem handed out, once its execution is
-  // done, to the reset pool, which rewinds it and keeps at most `jobs`
-  // systems (one per worker). Drops everything before Prepare and in cold
-  // mode. Thread-safe.
+  // done, to the reset pool, which rewinds it and keeps it for the next
+  // reset (never more systems than executions ran at once: one per worker).
+  // Drops everything before Prepare and in cold mode. Thread-safe.
   void RecycleBranchSystem(std::unique_ptr<core::AndroidSystem> system) const;
   // Destroys the pooled systems, so their memory does not outlive the
   // campaign phase that filled the pool. Thread-safe.
@@ -117,7 +117,6 @@ class BranchRunner {
 
  private:
   sim::DeviceSpec prefix_;
-  std::uint64_t prefix_key_;
   BranchOptions options_;
   std::optional<snapshot::SystemSnapshot> snapshot_;
   // A cache behind the const reset interface.

@@ -1,6 +1,5 @@
 #include "sim/device.h"
 
-#include <algorithm>
 #include <iterator>
 #include <stdexcept>
 
@@ -50,15 +49,7 @@ std::uint64_t PrefixKey(const DeviceSpec& spec) {
 
 std::unique_ptr<core::AndroidSystem> RestorePrefix(
     const DeviceSpec& spec, const snapshot::SystemSnapshot& image,
-    std::string_view context, std::unique_ptr<core::AndroidSystem> rewind) {
-  if (rewind != nullptr && image.CanRewind(*rewind)) {
-    Status rewound = image.RewindInto(rewind.get());
-    if (rewound.ok()) return rewind;
-    JGRE_LOG(kWarning, "RestorePrefix")
-        << context << ": rewind failed, restoring fresh: "
-        << rewound.ToString();
-  }
-  rewind.reset();
+    std::string_view context) {
   std::unique_ptr<core::AndroidSystem> system = BootFresh(spec);
   Status restored = image.RestoreInto(system.get());
   if (!restored.ok()) {
@@ -71,61 +62,44 @@ std::unique_ptr<core::AndroidSystem> RestorePrefix(
 }
 
 std::unique_ptr<core::AndroidSystem> RewindPool::Restore(
-    const DeviceSpec& spec, std::uint64_t key,
-    const snapshot::SystemSnapshot& image, std::string_view context) {
-  std::unique_ptr<core::AndroidSystem> pooled, stale;
+    const DeviceSpec& spec, const snapshot::SystemSnapshot& image,
+    std::string_view context) {
+  std::unique_ptr<core::AndroidSystem> displaced;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const std::thread::id self = std::this_thread::get_id();
-    auto it = std::find_if(systems_.begin(), systems_.end(),
-                           [self](const Entry& e) { return e.owner == self; });
-    if (it != systems_.end() && it->key != key) {
-      stale = std::move(it->system);
-      systems_.erase(it);
-      it = systems_.end();
+    // Recycle left each system at the checkpoint it last rewound to; an
+    // image rebuilt since (a cache eviction) is a different one.
+    for (auto it = systems_.rbegin(); it != systems_.rend(); ++it) {
+      if (!image.CanRewind(**it)) continue;
+      std::unique_ptr<core::AndroidSystem> pooled = std::move(*it);
+      systems_.erase(std::next(it).base());
+      ++rewinds_;
+      return pooled;
     }
-    if (it == systems_.end()) {
-      auto last = std::find_if(systems_.rbegin(), systems_.rend(),
-                               [key](const Entry& e) { return e.key == key; });
-      if (last != systems_.rend()) it = std::next(last).base();
-    }
-    if (it != systems_.end()) {
-      pooled = std::move(it->system);
-      systems_.erase(it);
+    if (!systems_.empty()) {
+      displaced = std::move(systems_.front());
+      systems_.erase(systems_.begin());
     }
   }
-  // Recycle left it at the checkpoint of the image it last rewound to; an
-  // image rebuilt since (a cache eviction) is a different one.
-  if (pooled != nullptr && image.CanRewind(*pooled)) {
-    ++rewinds_;
-    return pooled;
-  }
-  pooled.reset();  // freed before the fresh boot, not after it
-  stale.reset();
+  displaced.reset();  // freed before the fresh boot, not after it
   return RestorePrefix(spec, image, context);
 }
 
-void RewindPool::Recycle(std::uint64_t key,
-                         const snapshot::SystemSnapshot& image,
+void RewindPool::Recycle(const snapshot::SystemSnapshot& image,
                          std::unique_ptr<core::AndroidSystem> system) {
-  if (system == nullptr || capacity_ == 0 || !image.CanRewind(*system)) return;
+  if (system == nullptr || !image.CanRewind(*system)) return;
   Status rewound = image.RewindInto(system.get());
   if (!rewound.ok()) {
     JGRE_LOG(kWarning, "RewindPool")
         << "rewind failed, dropping the system: " << rewound.ToString();
     return;
   }
-  std::unique_ptr<core::AndroidSystem> evicted;
   std::lock_guard<std::mutex> lock(mu_);
-  if (systems_.size() >= capacity_) {
-    evicted = std::move(systems_.front().system);
-    systems_.erase(systems_.begin());
-  }
-  systems_.push_back({std::this_thread::get_id(), key, std::move(system)});
+  systems_.push_back(std::move(system));
 }
 
 void RewindPool::Drain() {
-  std::vector<Entry> drained;
+  std::vector<std::unique_ptr<core::AndroidSystem>> drained;
   std::lock_guard<std::mutex> lock(mu_);
   drained.swap(systems_);
 }

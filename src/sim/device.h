@@ -43,7 +43,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "attack/benign_workload.h"
@@ -187,54 +186,42 @@ class DeviceSpec {
 // warmed boot images.
 std::uint64_t PrefixKey(const DeviceSpec& spec);
 
-// The one reset primitive: rebuilds `spec`'s prefix system from `image`, a
-// checkpoint of a prefix with the same PrefixKey. Given `rewind` — a system
-// an earlier reset from this image returned and executions have since
-// driven — it rewinds that system in place when the image can do so exactly
-// (SystemSnapshot::CanRewind) and returns it. Otherwise, and if the rewind
-// fails, `rewind` is destroyed, never reused: the fresh path boots a new
-// system from the spec's system config and boot seed and restores the image
-// into it. Throws std::runtime_error("<context>: restore failed: ...") when
-// the fresh restore fails, so the caller's context names the shard or
-// device that hit it.
+// The fresh reset path: boots a new system from `spec`'s system config and
+// boot seed and restores `image`, a checkpoint of a prefix with the same
+// PrefixKey, into it. Throws std::runtime_error("<context>: restore failed:
+// ...") when the restore fails, so the caller's context names the shard or
+// device that hit it. RewindPool serves resets from rewound systems and
+// falls back to this.
 std::unique_ptr<core::AndroidSystem> RestorePrefix(
     const DeviceSpec& spec, const snapshot::SystemSnapshot& image,
-    std::string_view context,
-    std::unique_ptr<core::AndroidSystem> rewind = nullptr);
+    std::string_view context);
 
 // The reset pool: systems that finished a run, rewound in place to the
 // checkpoint they were restored from and waiting to serve the next run from
-// it, each tagged with that image's PrefixKey. Recycle rewinds a system as
-// soon as its run is done (SystemSnapshot::RewindInto), so the pool holds
-// systems at the checkpoint, not the garbage their runs left behind; a
-// system that cannot rewind exactly (a soft reboot, a hook left installed,
-// another image) is destroyed instead.
+// it. Recycle rewinds a system as soon as its run is done
+// (SystemSnapshot::RewindInto), so the pool holds systems at the
+// checkpoint, not the garbage their runs left behind. A system the image
+// cannot rewind exactly (SystemSnapshot::CanRewind fails: a soft reboot, a
+// hook left installed, another image) or whose rewind fails is destroyed
+// instead, never reused.
 //
-// A worker gets back the system it recycled itself when that one fits, and
-// drops it when it was for another image: then every worker holds one
-// system, in flight or pooled, as it did when it booted a fresh one per run,
-// and each system stays in the allocator arena of the thread that drives it.
-// A worker with none of its own (a new worker of a later phase) takes the
-// most recently recycled system of the image. The pool keeps at most
-// `capacity` systems (one per worker) and evicts the oldest past that.
-// Thread-safe.
+// Restore takes the most recently recycled system the image can rewind.
+// With none, it restores fresh (RestorePrefix) and first destroys the
+// oldest pooled system, whose place the new one takes: so the pooled
+// systems and those in flight never outnumber the runs in flight at once
+// (one per worker), as when every run booted its own. Keeping the
+// displaced systems for later runs of their image left fleet-census peak
+// RSS ~7% higher. Thread-safe.
 class RewindPool {
  public:
-  explicit RewindPool(std::size_t capacity) : capacity_(capacity) {}
-  ~RewindPool() { Drain(); }
-
-  RewindPool(const RewindPool&) = delete;
-  RewindPool& operator=(const RewindPool&) = delete;
-
-  // A system at `image`'s checkpoint: the most recently recycled system
-  // tagged `key` when it was rewound to this very image, else (and when the
-  // pool holds none) RestorePrefix(spec, image, context).
+  // A system at `image`'s checkpoint: a pooled one rewound to this very
+  // image, else RestorePrefix(spec, image, context).
   std::unique_ptr<core::AndroidSystem> Restore(
-      const DeviceSpec& spec, std::uint64_t key,
-      const snapshot::SystemSnapshot& image, std::string_view context);
-  // Takes back a system Restore handed out for `key` and `image`, once its
-  // run is done and everything the run installed is detached.
-  void Recycle(std::uint64_t key, const snapshot::SystemSnapshot& image,
+      const DeviceSpec& spec, const snapshot::SystemSnapshot& image,
+      std::string_view context);
+  // Takes back a system Restore handed out for `image`, once its run is
+  // done and everything the run installed is detached, and rewinds it.
+  void Recycle(const snapshot::SystemSnapshot& image,
                std::unique_ptr<core::AndroidSystem> system);
   // Destroys the pooled systems, so their memory does not outlive the phase
   // that filled the pool.
@@ -244,15 +231,8 @@ class RewindPool {
   std::uint64_t rewinds() const { return rewinds_.load(); }
 
  private:
-  struct Entry {
-    std::thread::id owner;  // the worker that recycled it
-    std::uint64_t key = 0;
-    std::unique_ptr<core::AndroidSystem> system;
-  };
-
-  const std::size_t capacity_;
   std::mutex mu_;
-  std::vector<Entry> systems_;  // oldest first
+  std::vector<std::unique_ptr<core::AndroidSystem>> systems_;  // oldest first
   std::atomic<std::uint64_t> rewinds_{0};
 };
 

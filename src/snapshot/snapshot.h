@@ -86,8 +86,8 @@ class SystemSnapshot {
   // Requires system->Rewindable() (FailedPrecondition otherwise). A non-OK
   // result leaves the system half-restored: discard it. Rewinding from the
   // image the system was last restored from (CanRewind) is exact — byte for
-  // byte what a fresh RestoreInto yields; sim::RestorePrefix falls back to
-  // the fresh path for every other system.
+  // byte what a fresh RestoreInto yields; sim::RewindPool falls back to the
+  // fresh path for every other system.
   Status RewindInto(core::AndroidSystem* system) const;
   bool CanRewind(const core::AndroidSystem& system) const;
 

@@ -354,8 +354,9 @@ TEST(MatrixRunnerTest, ReleasedCellDetachesAndRewinds) {
   const sim::DeviceFactory factory(spec);
   auto image = snapshot::SystemSnapshot::Capture(*factory.BootPrefix());
   ASSERT_TRUE(image.ok()) << image.status().ToString();
-  std::unique_ptr<sim::DeviceSim> device = factory.CreateDeviceOn(
-      sim::RestorePrefix(spec, image.value(), "cell test"));
+  sim::RewindPool pool;
+  std::unique_ptr<sim::DeviceSim> device =
+      factory.CreateDeviceOn(pool.Restore(spec, image.value(), "cell test"));
   core::AndroidSystem& system = device->system();
   {
     MitigationStack::Config config;
@@ -383,7 +384,9 @@ TEST(MatrixRunnerTest, ReleasedCellDetachesAndRewinds) {
                 .code(),
             StatusCode::kNotFound);
   ASSERT_TRUE(image.value().CanRewind(*released));
-  ASSERT_TRUE(image.value().RewindInto(released.get()).ok());
+  pool.Recycle(image.value(), std::move(released));
+  released = pool.Restore(spec, image.value(), "cell test");
+  ASSERT_EQ(released->rewinds(), 1);
   EXPECT_FALSE(
       released->service_manager().GetService("weakwatch", Pid{1}).ok());
   auto recaptured = snapshot::SystemSnapshot::Capture(*released);

@@ -312,12 +312,23 @@ TEST(SystemSnapshotTest, RewindRequiresAPlainSystemRestoredFromTheImage) {
   system->SetPumpExtension(nullptr);
   EXPECT_TRUE(snap.CanRewind(*system));
 
-  // A fresh restore into the pooled system's place: RestorePrefix rewinds it.
+  // The reset pool rewinds a plain driven system and serves it again, and
+  // destroys one that still carries a hook.
+  sim::RewindPool pool;
   Drive(*system, 4);
   core::AndroidSystem* pooled = system.get();
-  system = sim::RestorePrefix(config, snap, "rewind test", std::move(system));
+  pool.Recycle(snap, std::move(system));
+  system = pool.Restore(config, snap, "rewind test");
   EXPECT_EQ(system.get(), pooled);
   EXPECT_EQ(system->rewinds(), 1);
+  EXPECT_EQ(pool.rewinds(), 1u);
+  EXPECT_TRUE(CapturePayload(*system) == snap.payload());
+
+  system->SetPumpExtension([] {});
+  pool.Recycle(snap, std::move(system));
+  system = pool.Restore(config, snap, "rewind test");
+  EXPECT_EQ(system->rewinds(), 0) << "a hooked system was pooled";
+  EXPECT_EQ(pool.rewinds(), 1u);
 }
 
 // Steps a device's attacker and, every 50 steps, each benign app.
@@ -343,8 +354,9 @@ TEST(SystemSnapshotTest, ReleasedDeviceRewindsLikeAFreshRestore) {
   ASSERT_TRUE(captured.ok()) << captured.status().ToString();
   const snapshot::SystemSnapshot& image = captured.value();
 
+  sim::RewindPool pool;
   std::unique_ptr<sim::DeviceSim> device =
-      factory.CreateDeviceOn(sim::RestorePrefix(spec, image, "release test"));
+      factory.CreateDeviceOn(pool.Restore(spec, image, "release test"));
   ASSERT_NE(device->defender(), nullptr);
   ASSERT_NE(device->trace(), nullptr);
   ASSERT_NE(device->metrics(), nullptr);
@@ -362,7 +374,9 @@ TEST(SystemSnapshotTest, ReleasedDeviceRewindsLikeAFreshRestore) {
                 .code(),
             StatusCode::kNotFound);
   ASSERT_TRUE(image.CanRewind(*system));
-  ASSERT_TRUE(image.RewindInto(system.get()).ok());
+  pool.Recycle(image, std::move(system));
+  system = pool.Restore(spec, image, "release test");
+  ASSERT_EQ(system->rewinds(), 1);
   EXPECT_TRUE(CapturePayload(*system) == image.payload());
 
   const auto replay = [&](std::unique_ptr<core::AndroidSystem> base) {
@@ -481,8 +495,8 @@ void PokeU64After(std::vector<std::uint8_t>& payload, std::uint32_t tag,
 
 // Hostile input: rewinding a driven system from a truncated payload, or from
 // one with a flipped byte or a corrupted count re-hashed to pass the file
-// checks, fails with a Status (never std::bad_alloc); the half-rewound
-// system is never reused, and the next reset is fresh and byte-correct.
+// checks, fails with a Status (never std::bad_alloc); the reset pool drops
+// the half-rewound system, and its next reset is fresh and byte-correct.
 TEST(SystemSnapshotTest, RewindFromHostilePayloadFailsAndIsNotReused) {
   sim::DeviceSpec config = SmallScenario(42);
   auto captured = snapshot::SystemSnapshot::Capture(
@@ -519,21 +533,25 @@ TEST(SystemSnapshotTest, RewindFromHostilePayloadFailsAndIsNotReused) {
         PokeU64After(p, 0x48454132, 0, kHuge);
       },
   };
+  sim::RewindPool pool;
   for (std::size_t i = 0; i < edits.size(); ++i) {
     std::unique_ptr<core::AndroidSystem> system =
-        sim::RestorePrefix(config, image, "hostile test");
+        pool.Restore(config, image, "hostile test");
+    ASSERT_EQ(system->rewinds(), 0) << "edit " << i;
     Drive(*system, 8);
     const snapshot::SystemSnapshot hostile =
         Rehashed(image, "snapshot_test_hostile.bin", edits[i]);
     const Status status = hostile.RewindInto(system.get());
     EXPECT_FALSE(status.ok()) << "edit " << i;
     EXPECT_FALSE(image.CanRewind(*system)) << "edit " << i;
+    EXPECT_FALSE(hostile.CanRewind(*system)) << "edit " << i;
 
-    system = sim::RestorePrefix(config, image, "hostile test",
-                                std::move(system));
+    pool.Recycle(image, std::move(system));
+    system = pool.Restore(config, image, "hostile test");
     EXPECT_EQ(system->rewinds(), 0) << "edit " << i << ": not fresh";
     EXPECT_TRUE(CapturePayload(*system) == image.payload()) << "edit " << i;
   }
+  EXPECT_EQ(pool.rewinds(), 0u);
 }
 
 TEST(SystemSnapshotTest, RestoreRejectsSeedMismatch) {

@@ -5,6 +5,7 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
 #include <cstdio>
+#include <string_view>
 
 #include "core/android_system.h"
 #include "services/clipboard_service.h"
@@ -42,8 +43,9 @@ int main() {
   status = clipboard.value().Call(
       services::ClipboardService::TRANSACTION_getPrimaryClip, &reply);
   auto clip = reply.ReadString();
-  std::printf("getPrimaryClip -> \"%s\"\n",
-              clip.ok() ? clip.value().c_str() : "?");
+  const std::string_view shown = clip.ok() ? clip.value() : "?";
+  std::printf("getPrimaryClip -> \"%.*s\"\n", static_cast<int>(shown.size()),
+              shown.data());
 
   // 3. Register a clipboard listener: watch two JGRs appear in system_server
   //    (the BinderProxy for our listener + the JavaDeathRecipient).

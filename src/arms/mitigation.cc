@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
-#include "common/strings.h"
 #include "os/kernel.h"
 
 namespace jgre::arms {
@@ -39,10 +39,11 @@ Status PerUidQuota::Admit(const MitigationRequest& request) {
   DecayTo(request.victim_live_refs);
   const std::int64_t charged = charges_[request.caller_uid.value()];
   if (charged >= config_.max_charged_refs) {
-    return LimitExceeded(StrCat("per_uid_quota: uid ",
-                                request.caller_uid.value(), " holds ",
-                                charged, " charged refs (cap ",
-                                config_.max_charged_refs, ")"));
+    // Denials are a hot path under a flood: concatenated, not streamed.
+    return LimitExceeded(
+        "per_uid_quota: uid " + std::to_string(request.caller_uid.value()) +
+        " holds " + std::to_string(charged) + " charged refs (cap " +
+        std::to_string(config_.max_charged_refs) + ")");
   }
   return Status::Ok();
 }
@@ -102,9 +103,9 @@ Status PerInterfaceRateLimit::Admit(const MitigationRequest& request) {
     bucket.last_us = request.now_us;
   }
   if (bucket.tokens < 1.0) {
-    return LimitExceeded(StrCat("per_interface_rate_limit: interface ",
-                                request.descriptor_id, "#", request.code,
-                                " out of tokens"));
+    return LimitExceeded("per_interface_rate_limit: interface " +
+                         std::to_string(request.descriptor_id) + "#" +
+                         std::to_string(request.code) + " out of tokens");
   }
   bucket.tokens -= 1.0;
   return Status::Ok();
@@ -124,6 +125,17 @@ MitigationStack::~MitigationStack() {
 
 void MitigationStack::Add(std::unique_ptr<MitigationPolicy> policy) {
   policies_.push_back(std::move(policy));
+  denied_by_policy_.push_back(0);
+}
+
+std::map<std::string, std::int64_t> MitigationStack::denied_by_policy() const {
+  std::map<std::string, std::int64_t> by_id;
+  for (std::size_t i = 0; i < policies_.size(); ++i) {
+    if (denied_by_policy_[i] > 0) {
+      by_id[std::string(policies_[i]->id())] += denied_by_policy_[i];
+    }
+  }
+  return by_id;
 }
 
 std::size_t MitigationStack::VictimLiveRefs() const {
@@ -152,12 +164,12 @@ void MitigationStack::Install() {
         request.now_us = system_->clock().NowUs();
         request.victim_live_refs = VictimLiveRefs();
         request.clock = &system_->clock();
-        for (auto& policy : policies_) {
-          Status vote = policy->Admit(request);
+        for (std::size_t i = 0; i < policies_.size(); ++i) {
+          Status vote = policies_[i]->Admit(request);
           if (!vote.ok()) {
             ++total_denied_;
             ++denied_by_uid_[info.caller_uid.value()];
-            ++denied_by_policy_[std::string(policy->id())];
+            ++denied_by_policy_[i];
             in_flight_ = false;
             return vote;
           }

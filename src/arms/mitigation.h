@@ -188,9 +188,8 @@ class MitigationStack {
   const std::map<std::uint32_t, std::int64_t>& denied_by_uid() const {
     return denied_by_uid_;
   }
-  const std::map<std::string, std::int64_t>& denied_by_policy() const {
-    return denied_by_policy_;
-  }
+  // Denials by policy id, for the policies that denied any call.
+  std::map<std::string, std::int64_t> denied_by_policy() const;
 
  private:
   std::size_t VictimLiveRefs() const;
@@ -202,7 +201,7 @@ class MitigationStack {
   bool in_flight_ = false;
   MitigationRequest pending_{};
   std::map<std::uint32_t, std::int64_t> denied_by_uid_;
-  std::map<std::string, std::int64_t> denied_by_policy_;
+  std::vector<std::int64_t> denied_by_policy_;  // parallel to policies_
   std::int64_t total_denied_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <sstream>
+#include <utility>
 
 #include "common/log.h"
 #include "common/strings.h"
@@ -39,6 +40,15 @@ BinderDriver::BinderDriver(os::Kernel* kernel, Config config)
 BinderDriver::BinderDriver(os::Kernel* kernel)
     : BinderDriver(kernel, Config{}) {}
 
+BinderDriver::~BinderDriver() {
+  // The node table owns service objects whose callback lists unlink their
+  // death links as they are destroyed. With the link table emptied first,
+  // those late unlinks find nothing, and the nodes are destroyed here, while
+  // every other member is still alive.
+  links_.clear();
+  const std::vector<Node> nodes = std::move(nodes_);
+}
+
 NodeId BinderDriver::RegisterBinder(const std::shared_ptr<BBinder>& binder,
                                     Pid owner) {
   assert(binder != nullptr);
@@ -55,7 +65,7 @@ NodeId BinderDriver::RegisterBinder(const std::shared_ptr<BBinder>& binder,
     // *sender* process (android_util_Binder.cpp), held while the kernel
     // keeps the node referenced.
     auto obj = proc->runtime->AllocManagedObject(
-        rt::ObjectKind::kJavaBBinder, "JavaBBinder:",
+        rt::ObjectKind::kJavaBBinder, node.descriptor_id,
         descriptors_.Name(node.descriptor_id));
     if (obj.ok()) {
       node.sender_obj = obj.value();
@@ -80,6 +90,14 @@ const BinderDriver::Node* BinderDriver::FindNode(NodeId node) const {
   const std::int64_t id = node.value();
   if (id < 1 || static_cast<std::uint64_t>(id) > nodes_.size()) return nullptr;
   return &nodes_[static_cast<std::size_t>(id - 1)];
+}
+
+BinderDriver::DeathLink* BinderDriver::FindLink(LinkId link) {
+  if (link < 1 || static_cast<std::uint64_t>(link) > links_.size()) {
+    return nullptr;
+  }
+  DeathLink& slot = links_[static_cast<std::size_t>(link - 1)];
+  return slot.node.valid() ? &slot : nullptr;
 }
 
 bool BinderDriver::IsNodeAlive(NodeId node) const {
@@ -120,12 +138,11 @@ Result<StrongBinder> BinderDriver::MaterializeBinder(NodeId node_id,
   }
   StrongBinder out;
   out.node = node_id;
-  const std::string& descriptor = descriptors_.Name(node->descriptor_id);
-  out.binder = std::make_shared<BpBinder>(this, node_id, holder, descriptor);
+  out.binder = std::make_shared<BpBinder>(this, node_id, holder);
   if (holder_proc->HasRuntime()) {
     AttachRuntimeHooks(holder, holder_proc->runtime.get());
-    auto proxy =
-        holder_proc->runtime->GetOrCreateBinderProxy(node_id, descriptor);
+    auto proxy = holder_proc->runtime->GetOrCreateBinderProxy(
+        node_id, node->descriptor_id, descriptors_.Name(node->descriptor_id));
     if (!proxy.ok()) return proxy.status();  // JGR table overflow in holder
     out.java_obj = proxy.value();
     auto it =
@@ -154,12 +171,26 @@ void BinderDriver::ReleaseNode(NodeId node_id) {
 
 void BinderDriver::ReleaseSenderRef(Node& node) {
   if (!node.sender_obj.valid()) return;
-  os::Process* owner = kernel_->FindProcess(node.owner);
-  if (owner != nullptr && owner->alive && owner->HasRuntime() &&
-      owner->runtime->heap().IsAlive(node.sender_obj)) {
-    owner->runtime->heap().RemoveHold(node.sender_obj);
-  }
+  DropHold(node.owner, node.sender_obj);
   node.sender_obj = ObjectId{};
+}
+
+void BinderDriver::DropHold(Pid pid, ObjectId obj) {
+  os::Process* proc = kernel_->FindProcess(pid);
+  if (proc != nullptr && proc->alive && proc->HasRuntime() &&
+      proc->runtime->heap().IsAlive(obj)) {
+    proc->runtime->heap().RemoveHold(obj);
+  }
+}
+
+void BinderDriver::DropLink(LinkId id) {
+  DeathLink& link = links_[static_cast<std::size_t>(id - 1)];
+  if (Node* node = FindNode(link.node); node != nullptr) {
+    auto& ids = node->death_links;
+    auto pos = std::lower_bound(ids.begin(), ids.end(), id);
+    if (pos != ids.end() && *pos == id) ids.erase(pos);
+  }
+  link = DeathLink{};
 }
 
 void BinderDriver::PinNode(NodeId node_id) {
@@ -203,16 +234,9 @@ void BinderDriver::OnProcessDeath(Pid pid) {
   }
   // 3. Death links whose holder died are dropped silently (and removed from
   // their node's link index).
-  for (auto it = links_.begin(); it != links_.end();) {
-    if (it->second.holder == pid) {
-      if (Node* node = FindNode(it->second.node); node != nullptr) {
-        auto& ids = node->death_links;
-        auto pos = std::lower_bound(ids.begin(), ids.end(), it->second.id);
-        if (pos != ids.end() && *pos == it->second.id) ids.erase(pos);
-      }
-      it = links_.erase(it);
-    } else {
-      ++it;
+  for (std::size_t slot = 0; slot < links_.size(); ++slot) {
+    if (links_[slot].node.valid() && links_[slot].holder == pid) {
+      DropLink(static_cast<LinkId>(slot) + 1);
     }
   }
 }
@@ -224,15 +248,14 @@ void BinderDriver::FireDeathLinks(NodeId node) {
   // firing is deterministic across a checkpoint restore.
   Node* n = FindNode(node);
   if (n == nullptr || n->death_links.empty()) return;
-  std::vector<LinkId> ids = std::move(n->death_links);
+  const InlineVector<LinkId, 2> ids = std::move(n->death_links);
   n->death_links.clear();
   std::vector<DeathLink> fired;
   fired.reserve(ids.size());
   for (LinkId id : ids) {
-    auto it = links_.find(id);
-    if (it == links_.end()) continue;
-    fired.push_back(std::move(it->second));
-    links_.erase(it);
+    DeathLink* link = FindLink(id);
+    if (link == nullptr) continue;
+    fired.push_back(std::exchange(*link, DeathLink{}));
   }
   for (DeathLink& link : fired) {
     os::Process* holder = kernel_->FindProcess(link.holder);
@@ -256,51 +279,43 @@ Result<LinkId> BinderDriver::LinkToDeath(
   if (holder_proc == nullptr || !holder_proc->alive) {
     return FailedPrecondition("holder process is dead");
   }
+  // The id is taken even if the recipient's JGR cannot be minted; its slot
+  // then stays empty.
+  const LinkId id = next_link_++;
+  links_.emplace_back();
   DeathLink link;
-  link.id = next_link_++;
   link.node = node_id;
   link.holder = holder;
   link.recipient = std::move(recipient);
   if (holder_proc->HasRuntime()) {
     // JavaDeathRecipient holds one JGR on the recipient object while linked.
     auto obj = holder_proc->runtime->AllocManagedObject(
-        rt::ObjectKind::kDeathRecipient, "JavaDeathRecipient:",
+        rt::ObjectKind::kDeathRecipient, node->descriptor_id,
         descriptors_.Name(node->descriptor_id));
     if (!obj.ok()) return obj.status();  // JGR overflow in the holder
     link.recipient_obj = obj.value();
     holder_proc->runtime->heap().AddHold(link.recipient_obj);
   }
-  const LinkId id = link.id;
   // Link ids are monotonically increasing, so appending keeps the node's
   // index sorted.
   node->death_links.push_back(id);
-  links_.emplace(id, std::move(link));
+  links_[static_cast<std::size_t>(id - 1)] = std::move(link);
   return id;
 }
 
 bool BinderDriver::ReattachDeathRecipient(
     LinkId link_id, std::shared_ptr<DeathRecipient> recipient) {
-  auto it = links_.find(link_id);
-  if (it == links_.end()) return false;
-  it->second.recipient = std::move(recipient);
+  DeathLink* link = FindLink(link_id);
+  if (link == nullptr) return false;
+  link->recipient = std::move(recipient);
   return true;
 }
 
 bool BinderDriver::UnlinkToDeath(LinkId link_id) {
-  auto it = links_.find(link_id);
-  if (it == links_.end()) return false;
-  const DeathLink& link = it->second;
-  os::Process* holder = kernel_->FindProcess(link.holder);
-  if (holder != nullptr && holder->alive && holder->HasRuntime() &&
-      holder->runtime->heap().IsAlive(link.recipient_obj)) {
-    holder->runtime->heap().RemoveHold(link.recipient_obj);
-  }
-  if (Node* node = FindNode(link.node); node != nullptr) {
-    auto& ids = node->death_links;
-    auto pos = std::lower_bound(ids.begin(), ids.end(), link_id);
-    if (pos != ids.end() && *pos == link_id) ids.erase(pos);
-  }
-  links_.erase(it);
+  DeathLink* link = FindLink(link_id);
+  if (link == nullptr) return false;
+  DropHold(link->holder, link->recipient_obj);
+  DropLink(link_id);
   return true;
 }
 
@@ -439,16 +454,6 @@ Result<std::size_t> BinderDriver::VisitIpcLogSince(
                              visitor);
 }
 
-Result<std::vector<IpcRecord>> BinderDriver::ReadIpcLog(
-    Uid caller, std::uint64_t since_seq, std::size_t max_records) const {
-  std::vector<IpcRecord> out;
-  auto visited = VisitIpcLogSince(
-      caller, since_seq, [&out](const IpcRecord& rec) { out.push_back(rec); },
-      max_records);
-  if (!visited.ok()) return visited.status();
-  return out;
-}
-
 const std::string& BinderDriver::NodeDescriptor(NodeId node) const {
   static const std::string kEmpty;
   const Node* n = FindNode(node);
@@ -474,14 +479,13 @@ void BinderDriver::SaveState(snapshot::Serializer& out) const {
     out.Bool(node.dead);
   }
   out.I64(next_link_);
-  std::vector<LinkId> link_ids;
-  link_ids.reserve(links_.size());
-  for (const auto& [id, link] : links_) link_ids.push_back(id);
-  std::sort(link_ids.begin(), link_ids.end());
-  out.U64(link_ids.size());
-  for (LinkId id : link_ids) {
-    const DeathLink& link = links_.at(id);
-    out.I64(link.id);
+  std::uint64_t live_links = 0;
+  for (const DeathLink& link : links_) live_links += link.node.valid();
+  out.U64(live_links);
+  for (std::size_t slot = 0; slot < links_.size(); ++slot) {  // id order
+    const DeathLink& link = links_[slot];
+    if (!link.node.valid()) continue;
+    out.I64(static_cast<LinkId>(slot) + 1);
     out.I64(link.node.value());
     out.I64(link.holder.value());
     out.I64(link.recipient_obj.value());
@@ -523,6 +527,12 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
     const bool has_strong = in.Bool();
     const ObjectId sender_obj{in.I64()};
     if (!in.ok()) break;
+    // Every registered node has an interned descriptor; heap labels and
+    // proxies index by it.
+    if (descriptor_id >= descriptors_.size()) {
+      in.Fail("binder node descriptor out of range");
+      break;
+    }
     const bool boot = index < boot_nodes;
     if (index == nodes_.size()) nodes_.emplace_back();
     Node& node = nodes_[index];
@@ -551,9 +561,6 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
         in.Fail("boot-time binder node lost its object");
         break;
       }
-    } else if (descriptor_id >= descriptors_.size()) {
-      in.Fail("binder node descriptor out of range");
-      break;
     } else {
       node.strong = Placeholder(index, id, owner,
                                 descriptors_.Name(descriptor_id));
@@ -565,18 +572,29 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
   snapshot::ReleaseExcess(nodes_);
   next_link_ = in.I64();
   links_.clear();
+  if (next_link_ < 1 || next_link_ > kMaxRestoredLinkCursor) {
+    in.Fail("corrupt death-link cursor");
+    next_link_ = 1;
+  }
+  links_.resize(static_cast<std::size_t>(next_link_ - 1));
+  snapshot::ReleaseExcess(links_);
   for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
+    const LinkId id = in.I64();
     DeathLink link;
-    link.id = in.I64();
     link.node = NodeId{in.I64()};
     link.holder = Pid{static_cast<std::int32_t>(in.I64())};
     link.recipient_obj = ObjectId{in.I64()};
+    if (!in.ok()) break;
+    if (id < 1 || id >= next_link_ || !link.node.valid()) {
+      in.Fail("death link out of range");
+      break;
+    }
     // Links were saved sorted by id, so appending keeps each node's index
     // sorted.
     if (Node* node = FindNode(link.node); node != nullptr) {
-      node->death_links.push_back(link.id);
+      node->death_links.push_back(id);
     }
-    links_.emplace(link.id, std::move(link));
+    links_[static_cast<std::size_t>(id - 1)] = std::move(link);
   }
   ipc_log_.RestoreState(in);
   total_transactions_ = in.I64();

@@ -23,9 +23,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/inline_vector.h"
 #include "common/interner.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -58,6 +58,7 @@ class BinderDriver {
 
   BinderDriver(os::Kernel* kernel, Config config);
   BinderDriver(os::Kernel* kernel);
+  ~BinderDriver();
 
   BinderDriver(const BinderDriver&) = delete;
   BinderDriver& operator=(const BinderDriver&) = delete;
@@ -147,6 +148,9 @@ class BinderDriver {
                              std::shared_ptr<DeathRecipient> recipient);
   bool UnlinkToDeath(LinkId link);
 
+  // Drops one strong hold `pid`'s runtime has on `obj`, if both still live.
+  void DropHold(Pid pid, ObjectId obj);
+
   // Re-attaches the recipient callback of a restored death link. Checkpoints
   // persist links without their recipients (a DeathRecipient is live wiring);
   // the owning component recreates its recipient object during its own
@@ -161,18 +165,12 @@ class BinderDriver {
   void SetDefenseLogging(bool enabled) { defense_logging_ = enabled; }
   bool defense_logging() const { return defense_logging_; }
 
-  // Reads log records with seq >= since_seq, at most `max_records` of them
-  // (oldest first). Permission mirrors the procfs file mode: only
-  // root/system may read (§V.B). The window is located in O(1) via the ring
-  // buffer's logical indices; only the returned records are copied.
-  Result<std::vector<IpcRecord>> ReadIpcLog(
-      Uid caller, std::uint64_t since_seq,
-      std::size_t max_records = kNoRecordLimit) const;
-
-  // Zero-copy variant: invokes `visitor` on every retained record with
-  // seq >= since_seq, oldest first, up to `max_records`. Returns the number
-  // of records visited. This is the defender's poll path — the seed
-  // implementation copied the entire log vector on every poll.
+  // Reads the log without copying it: invokes `visitor` on every retained
+  // record with seq >= since_seq, oldest first, up to `max_records`, and
+  // returns the number of records visited. Permission mirrors the procfs
+  // file mode: only root/system may read (§V.B). The window is located in
+  // O(1) via the ring buffer's logical indices. This is the defender's poll
+  // path.
   Result<std::size_t> VisitIpcLogSince(
       Uid caller, std::uint64_t since_seq,
       const std::function<void(const IpcRecord&)>& visitor,
@@ -183,8 +181,9 @@ class BinderDriver {
     return descriptors_.Name(id);
   }
 
-  // Interface descriptor of a node (empty for an unknown node). Restore paths
-  // use this to rebuild proxy shims from the node table.
+  // Interface descriptor of a node (empty for an unknown node): what every
+  // BpBinder reports as its InterfaceDescriptor. The reference stays valid
+  // while the node exists (a restore that drops the node may drop it too).
   const std::string& NodeDescriptor(NodeId node) const;
 
   // Renders the textual /proc/jgre_ipc_log content (bounded tail).
@@ -211,6 +210,10 @@ class BinderDriver {
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
 
+  // The largest link cursor a restore accepts (the link table is sized by
+  // it, and dropped links are not serialized), the heap's cursor bound.
+  static constexpr LinkId kMaxRestoredLinkCursor = LinkId{1} << 22;
+
   // False once a boot-created node has lost its object since the last
   // restore (its owner died or it was released): a restore cannot bring
   // the object back, only a fresh boot can.
@@ -223,16 +226,17 @@ class BinderDriver {
     DescriptorId descriptor_id = StringInterner::kInvalidId;
     std::shared_ptr<BBinder> strong;  // kernel ref while node is live
     ObjectId sender_obj;              // JavaBBinder in the owner runtime
-    std::vector<Pid> holders;         // processes with a live proxy; sorted
+    // Processes with a live proxy; sorted. Usually one or two.
+    InlineVector<Pid, 2> holders;
     // Death links registered on this node, ascending link id (links are
     // appended in id order). Derived index over links_, rebuilt on restore.
-    std::vector<LinkId> death_links;
+    InlineVector<LinkId, 2> death_links;
     bool pinned = false;              // servicemanager holds it forever
     bool dead = false;
   };
 
+  // A link that fired or was dropped keeps its slot with an invalid node.
   struct DeathLink {
-    LinkId id;
     NodeId node;
     Pid holder;
     std::shared_ptr<DeathRecipient> recipient;
@@ -241,6 +245,10 @@ class BinderDriver {
 
   Node* FindNode(NodeId node);
   const Node* FindNode(NodeId node) const;
+  // The live link `link`, or null.
+  DeathLink* FindLink(LinkId link);
+  // Empties live link `id`'s slot and takes it out of its node's index.
+  void DropLink(LinkId id);
   void OnProxyCollected(Pid holder, NodeId node);
   void OnProcessDeath(Pid pid);
   void ReleaseSenderRef(Node& node);
@@ -278,8 +286,9 @@ class BinderDriver {
   // descriptor_id -> bus LabelId, filled lazily (kInvalidId sentinel = ~0).
   std::vector<obs::LabelId> descriptor_labels_;
 
+  // Link ids are dense too, and links_ is indexed by id - 1 like nodes_.
   LinkId next_link_ = 1;
-  std::unordered_map<LinkId, DeathLink> links_;
+  std::vector<DeathLink> links_;
 
   IpcLog ipc_log_;
   std::int64_t total_transactions_ = 0;

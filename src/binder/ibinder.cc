@@ -24,6 +24,10 @@ Status BBinder::Transact(std::uint32_t code, const Parcel& data,
   return OnTransact(code, data, reply, ctx);
 }
 
+const std::string& BpBinder::InterfaceDescriptor() const {
+  return driver_->NodeDescriptor(node_);
+}
+
 Status BpBinder::Transact(std::uint32_t code, const Parcel& data,
                           Parcel* reply) {
   return driver_->Transact(holder_pid_, node_, code, data, reply);

@@ -94,20 +94,16 @@ class BBinder : public IBinder,
 
 // Remote proxy. One exists per (holder process, node) at the Java level via
 // the runtime's BinderProxy cache; the C++ object is a thin forwarding shim.
+// It carries no copy of the descriptor: InterfaceDescriptor reads the
+// driver's node table, which holds it for as long as the node exists.
 class BpBinder : public IBinder {
  public:
-  BpBinder(BinderDriver* driver, NodeId node, Pid holder_pid,
-           std::string descriptor)
-      : driver_(driver),
-        node_(node),
-        holder_pid_(holder_pid),
-        descriptor_(std::move(descriptor)) {}
+  BpBinder(BinderDriver* driver, NodeId node, Pid holder_pid)
+      : driver_(driver), node_(node), holder_pid_(holder_pid) {}
 
   NodeId node() const override { return node_; }
   bool IsProxy() const override { return true; }
-  const std::string& InterfaceDescriptor() const override {
-    return descriptor_;
-  }
+  const std::string& InterfaceDescriptor() const override;
 
   Status Transact(std::uint32_t code, const Parcel& data,
                   Parcel* reply) override;
@@ -118,7 +114,6 @@ class BpBinder : public IBinder {
   BinderDriver* driver_;
   NodeId node_;
   Pid holder_pid_;
-  std::string descriptor_;
 };
 
 // A strong binder as materialized in a process after crossing IPC (or being

@@ -13,7 +13,7 @@ constexpr std::uint64_t kBoolBytes = 4;
 constexpr std::uint64_t kFlatBinderBytes = 24;  // sizeof(flat_binder_object)
 }  // namespace
 
-void Parcel::WriteInterfaceToken(const std::string& descriptor) {
+void Parcel::WriteInterfaceToken(std::string_view descriptor) {
   payload_bytes_ += descriptor.size() * 2 + 8;  // UTF-16 + strict mode header
   values_.emplace_back(InterfaceToken{descriptor});
 }
@@ -33,9 +33,9 @@ void Parcel::WriteBool(bool value) {
   values_.emplace_back(value);
 }
 
-void Parcel::WriteString(const std::string& value) {
+void Parcel::WriteString(std::string_view value) {
   payload_bytes_ += value.size() * 2 + 4;
-  values_.emplace_back(value);
+  values_.emplace_back(std::in_place_type<std::string>, value);
 }
 
 void Parcel::WriteByteArray(std::uint64_t num_bytes) {
@@ -56,26 +56,36 @@ void Parcel::WriteNullBinder() {
 }
 
 template <typename T>
-Result<T> Parcel::ReadValue() const {
+const T* Parcel::Next(Status* error) const {
   if (cursor_ >= values_.size()) {
-    return InvalidArgument("parcel read past end");
+    *error = InvalidArgument("parcel read past end");
+    return nullptr;
   }
-  const Value& v = values_[cursor_];
-  if (!std::holds_alternative<T>(v)) {
-    return InvalidArgument(
+  const T* value = std::get_if<T>(&values_[cursor_]);
+  if (value == nullptr) {
+    *error = InvalidArgument(
         StrCat("parcel type confusion at index ", cursor_));
+    return nullptr;
   }
   ++cursor_;
-  return std::get<T>(v);
+  return value;
 }
 
-Status Parcel::EnforceInterface(const std::string& descriptor) const {
-  auto token = ReadValue<InterfaceToken>();
-  if (!token.ok()) return token.status();
-  if (token.value().descriptor != descriptor) {
+template <typename T>
+Result<T> Parcel::ReadValue() const {
+  Status error;
+  const T* value = Next<T>(&error);
+  if (value == nullptr) return error;
+  return *value;
+}
+
+Status Parcel::EnforceInterface(std::string_view descriptor) const {
+  Status error;
+  const InterfaceToken* token = Next<InterfaceToken>(&error);
+  if (token == nullptr) return error;
+  if (token->descriptor != descriptor) {
     return InvalidArgument(StrCat("interface token mismatch: expected ",
-                                  descriptor, ", got ",
-                                  token.value().descriptor));
+                                  descriptor, ", got ", token->descriptor));
   }
   return Status::Ok();
 }
@@ -90,8 +100,11 @@ Result<std::int64_t> Parcel::ReadInt64() const {
 
 Result<bool> Parcel::ReadBool() const { return ReadValue<bool>(); }
 
-Result<std::string> Parcel::ReadString() const {
-  return ReadValue<std::string>();
+Result<std::string_view> Parcel::ReadString() const {
+  Status error;
+  const std::string* value = Next<std::string>(&error);
+  if (value == nullptr) return error;
+  return std::string_view(*value);
 }
 
 Result<std::uint64_t> Parcel::ReadByteArray() const {

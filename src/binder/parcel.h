@@ -7,14 +7,21 @@
 // creates a new proxy taking **one JNI global reference** in the reading
 // process. This is the Java JGR entry the paper's extractor identifies and
 // the channel through which IPC callers push JGRs into victims.
+//
+// A parcel lives for one synchronous transaction, so it is built to cost no
+// heap allocation on the call path: its first values sit inline, the
+// interface token is a borrowed view of the caller's descriptor (which must
+// outlive the parcel, as an IpcClient's or a string literal does), and
+// ReadString hands out a view into the parcel instead of a copy.
 #ifndef JGRE_BINDER_PARCEL_H_
 #define JGRE_BINDER_PARCEL_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
-#include <vector>
 
+#include "common/inline_vector.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "binder/ibinder.h"
@@ -29,11 +36,12 @@ class Parcel {
 
   // --- writers (sender side) ----------------------------------------------
 
-  void WriteInterfaceToken(const std::string& descriptor);
+  // Borrows `descriptor`: it must stay alive as long as the parcel is read.
+  void WriteInterfaceToken(std::string_view descriptor);
   void WriteInt32(std::int32_t value);
   void WriteInt64(std::int64_t value);
   void WriteBool(bool value);
-  void WriteString(const std::string& value);
+  void WriteString(std::string_view value);
   // Only the size matters for the cost model; contents are not simulated.
   void WriteByteArray(std::uint64_t num_bytes);
   // Flattens the binder to its node handle (flat_binder_object).
@@ -47,11 +55,12 @@ class Parcel {
 
   // Readers validate the value kind at the cursor; a type confusion returns
   // kInvalidArgument (binder would signal a bad parcel).
-  Status EnforceInterface(const std::string& descriptor) const;
+  Status EnforceInterface(std::string_view descriptor) const;
   Result<std::int32_t> ReadInt32() const;
   Result<std::int64_t> ReadInt64() const;
   Result<bool> ReadBool() const;
-  Result<std::string> ReadString() const;
+  // A view into the parcel, valid while the parcel lives; copy it to keep it.
+  Result<std::string_view> ReadString() const;
   Result<std::uint64_t> ReadByteArray() const;
 
   // Materializes the strong binder in the receiving process identified by
@@ -72,7 +81,7 @@ class Parcel {
 
  private:
   struct InterfaceToken {
-    std::string descriptor;
+    std::string_view descriptor;  // borrowed, see WriteInterfaceToken
   };
   struct FlatBinder {
     NodeId node;  // invalid => null binder
@@ -85,10 +94,15 @@ class Parcel {
                              std::string, ByteArray, FlatBinder,
                              FileDescriptor>;
 
+  // The value at the cursor if it holds a T (advancing the cursor), else
+  // null with the read error in `error`.
+  template <typename T>
+  const T* Next(Status* error) const;
   template <typename T>
   Result<T> ReadValue() const;
 
-  std::vector<Value> values_;
+  // A transaction carries the token plus a few arguments; replies one value.
+  InlineVector<Value, 6> values_;
   mutable std::size_t cursor_ = 0;
   std::uint64_t payload_bytes_ = 0;
   bool has_binders_ = false;

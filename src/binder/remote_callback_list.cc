@@ -7,9 +7,10 @@
 
 namespace jgre::binder {
 
-// Death recipient bridging binder death back into the list. The driver drops
-// its shared_ptr when the link fires or is unlinked, so a recipient never
-// outlives the unlink performed in ~RemoteCallbackList.
+// Death recipient bridging binder death back into the list; one per list,
+// shared by all of its links. The driver drops its reference when a link
+// fires or is unlinked, and ~RemoteCallbackList unlinks every entry, so no
+// link can call into a destroyed list.
 class RemoteCallbackList::Recipient : public DeathRecipient {
  public:
   explicit Recipient(RemoteCallbackList* list) : list_(list) {}
@@ -21,18 +22,12 @@ class RemoteCallbackList::Recipient : public DeathRecipient {
 
 RemoteCallbackList::RemoteCallbackList(BinderDriver* driver, Pid host,
                                        std::string name)
-    : driver_(driver), host_(host), name_(std::move(name)) {}
+    : driver_(driver),
+      host_(host),
+      name_(std::move(name)),
+      recipient_(std::make_shared<Recipient>(this)) {}
 
 RemoteCallbackList::~RemoteCallbackList() { Kill(); }
-
-void RemoteCallbackList::DropHold(ObjectId obj) {
-  if (!obj.valid()) return;
-  os::Process* host = driver_->kernel().FindProcess(host_);
-  if (host != nullptr && host->alive && host->HasRuntime() &&
-      host->runtime->heap().IsAlive(obj)) {
-    host->runtime->heap().RemoveHold(obj);
-  }
-}
 
 bool RemoteCallbackList::Register(const StrongBinder& callback) {
   if (!callback.valid()) return false;
@@ -46,14 +41,13 @@ bool RemoteCallbackList::Register(const StrongBinder& callback) {
       host->runtime->heap().AddHold(callback.java_obj);
     }
   }
-  auto link = driver_->LinkToDeath(host_, callback.node,
-                                   std::make_shared<Recipient>(this));
+  auto link = driver_->LinkToDeath(host_, callback.node, recipient_);
   if (link.ok()) {
     entry.link = link.value();
   } else {
     // Client died between send and register: keep AOSP behaviour (register
     // fails, the hold is released).
-    DropHold(callback.java_obj);
+    driver_->DropHold(host_, callback.java_obj);
     return false;
   }
   entries_.emplace(callback.node, std::move(entry));
@@ -65,7 +59,7 @@ bool RemoteCallbackList::Unregister(NodeId node) {
   auto it = entries_.find(node);
   if (it == entries_.end()) return false;
   if (it->second.link >= 0) driver_->UnlinkToDeath(it->second.link);
-  DropHold(it->second.callback.java_obj);
+  driver_->DropHold(host_, it->second.callback.java_obj);
   entries_.erase(it);
   return true;
 }
@@ -75,7 +69,7 @@ void RemoteCallbackList::OnCallbackDied(NodeId node) {
   if (it == entries_.end()) return;
   // The driver already dropped the JavaDeathRecipient hold; release ours on
   // the proxy so the next GC reclaims both JGRs.
-  DropHold(it->second.callback.java_obj);
+  driver_->DropHold(host_, it->second.callback.java_obj);
   entries_.erase(it);
   ++dead_callbacks_;
   if (on_callback_died_) on_callback_died_(node);
@@ -89,7 +83,7 @@ void RemoteCallbackList::Kill() {
   for (NodeId node : SortedNodes()) {
     Entry& entry = entries_.at(node);
     if (entry.link >= 0) driver_->UnlinkToDeath(entry.link);
-    DropHold(entry.callback.java_obj);
+    driver_->DropHold(host_, entry.callback.java_obj);
   }
   entries_.clear();
 }
@@ -135,17 +129,16 @@ void RemoteCallbackList::RestoreState(snapshot::Deserializer& in) {
     Entry entry;
     entry.callback.node = node;
     entry.callback.java_obj = ObjectId{in.I64()};
-    entry.callback.binder = std::make_shared<BpBinder>(
-        driver_, node, host_, driver_->NodeDescriptor(node));
+    entry.callback.binder = std::make_shared<BpBinder>(driver_, node, host_);
     entry.link = in.I64();
     if (entry.link >= 0 &&
-        !driver_->ReattachDeathRecipient(entry.link,
-                                         std::make_shared<Recipient>(this))) {
+        !driver_->ReattachDeathRecipient(entry.link, recipient_)) {
       in.Fail("callback list references a death link the driver lost");
       return;
     }
     entries_.emplace(node, std::move(entry));
   }
+  snapshot::ReleaseExcess(entries_);
   total_registered_ = in.I64();
   dead_callbacks_ = in.I64();
 }

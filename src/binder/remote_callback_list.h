@@ -73,7 +73,6 @@ class RemoteCallbackList {
   class Recipient;
 
   void OnCallbackDied(NodeId node);
-  void DropHold(ObjectId obj);
   std::vector<NodeId> SortedNodes() const;
 
   BinderDriver* driver_;
@@ -85,6 +84,7 @@ class RemoteCallbackList {
     LinkId link = -1;
   };
   std::unordered_map<NodeId, Entry> entries_;
+  std::shared_ptr<Recipient> recipient_;
   std::function<void(NodeId)> on_callback_died_;
   std::int64_t total_registered_ = 0;
   std::int64_t dead_callbacks_ = 0;

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/interner.h"
@@ -32,7 +33,7 @@ class ServiceManager {
 
   // Looks up `name` and materializes it in `caller` — for a remote caller
   // this mints the proxy + JGR on first lookup (cached thereafter).
-  Result<StrongBinder> GetService(const std::string& name, Pid caller);
+  Result<StrongBinder> GetService(std::string_view name, Pid caller);
 
   bool HasService(const std::string& name) const {
     const StringInterner::Id id = names_.Find(name);

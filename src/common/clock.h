@@ -70,8 +70,6 @@ class SimClock {
   }
 
  private:
-  void FireDueTimers();
-
   TimeUs now_us_ = 0;
   std::int64_t next_timer_id_ = 1;
   std::int64_t timers_fired_ = 0;

@@ -81,12 +81,13 @@ class StringInterner {
   }
 
  private:
-  // Drops every name with id >= `size`.
+  // Drops every name with id >= `size`, and the buckets they needed.
   void Truncate(std::size_t size) {
     while (names_.size() > size) {
       ids_.erase(names_.back());
       names_.pop_back();
     }
+    snapshot::ReleaseExcess(ids_);
     last_id_ = kInvalidId;
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace jgre {
 
@@ -85,13 +84,6 @@ TimeSeries TimeSeries::Downsample(std::size_t max_points) const {
     out.Add(p.first, p.second);
   }
   return out;
-}
-
-std::string TimeSeries::ToCsv() const {
-  std::ostringstream os;
-  os << "time_us," << name_ << "\n";
-  for (const auto& [t, v] : points_) os << t << "," << v << "\n";
-  return os.str();
 }
 
 }  // namespace jgre

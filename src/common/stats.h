@@ -57,9 +57,6 @@ class TimeSeries {
   // Downsamples to at most `max_points` evenly spaced points (keeps ends).
   TimeSeries Downsample(std::size_t max_points) const;
 
-  // CSV with the header `time_us,<name>`.
-  std::string ToCsv() const;
-
  private:
   std::string name_;
   std::vector<std::pair<TimeUs, double>> points_;

@@ -38,7 +38,7 @@ void AndroidSystem::Boot() {
     pc.with_runtime = false;
     pc.memory_kb = 1024;
     pc.oom_score_adj = os::kNativeAdj;
-    kernel_.CreateProcess(StrCat("native-daemon-", i), kRootUid, pc);
+    kernel_.CreateProcess("native-daemon-" + std::to_string(i), kRootUid, pc);
   }
   BootSystemServer();
   BootPrebuiltApps();

@@ -24,11 +24,24 @@ ObjectId Heap::Alloc(ObjectKind kind, std::string_view label) {
   return PushObject(kind, labels_.Intern(label));
 }
 
-ObjectId Heap::Alloc(ObjectKind kind, std::string_view label_prefix,
-                     std::string_view label_suffix) {
-  label_scratch_.assign(label_prefix);
-  label_scratch_.append(label_suffix);
-  return PushObject(kind, labels_.Intern(label_scratch_));
+ObjectId Heap::AllocDescribed(ObjectKind kind,
+                              StringInterner::Id descriptor_id,
+                              std::string_view descriptor) {
+  const std::size_t slot =
+      static_cast<std::size_t>(descriptor_id) * kObjectKinds +
+      static_cast<std::size_t>(kind);
+  if (slot >= described_labels_.size()) {
+    described_labels_.resize(slot + 1, StringInterner::kInvalidId);
+  }
+  StringInterner::Id& label = described_labels_[slot];
+  if (label == StringInterner::kInvalidId) {
+    static constexpr std::string_view kPrefix[kObjectKinds] = {
+        "", "BinderProxy:", "JavaBBinder:", "JavaDeathRecipient:", ""};
+    label_scratch_.assign(kPrefix[static_cast<std::size_t>(kind)]);
+    label_scratch_.append(descriptor);
+    label = labels_.Intern(label_scratch_);
+  }
+  return PushObject(kind, label);
 }
 
 void Heap::Free(ObjectId id) {
@@ -101,6 +114,7 @@ void Heap::RestoreState(snapshot::Deserializer& in) {
   weak_ref_.clear();
   node_.clear();
   unheld_candidates_.clear();
+  described_labels_.clear();
   live_count_ = 0;
   if (next_id_ < 1 || next_id_ > kMaxRestoredCursor) {
     in.Fail("corrupt heap allocation cursor");

@@ -49,6 +49,8 @@ enum class ObjectKind {
   kDeathRecipient,  // IBinder.DeathRecipient registered via linkToDeath
   kClassRoot,       // class cached at runtime init (WellKnownClasses)
 };
+inline constexpr std::size_t kObjectKinds =
+    static_cast<std::size_t>(ObjectKind::kClassRoot) + 1;
 
 class Heap {
  public:
@@ -57,11 +59,13 @@ class Heap {
   Heap& operator=(const Heap&) = delete;
 
   ObjectId Alloc(ObjectKind kind, std::string_view label);
-  // Composed-label allocation: interns prefix+suffix through a reusable
-  // scratch buffer, so steady-state allocation of recurring labels
-  // ("BinderProxy:" + descriptor) performs no string allocation at all.
-  ObjectId Alloc(ObjectKind kind, std::string_view label_prefix,
-                 std::string_view label_suffix);
+  // Allocates a binder-side object labelled with its kind's prefix and an
+  // interface descriptor ("BinderProxy:" + descriptor, "JavaBBinder:",
+  // "JavaDeathRecipient:"). The label id is cached per (kind, descriptor
+  // id), so the steady state neither composes nor hashes a label.
+  // `descriptor_id` is the binder driver's interned id of `descriptor`.
+  ObjectId AllocDescribed(ObjectKind kind, StringInterner::Id descriptor_id,
+                          std::string_view descriptor);
 
   // Strong-hold accounting. AddHold/RemoveHold model a service data structure
   // taking/dropping a strong reference to the object.
@@ -136,11 +140,6 @@ class Heap {
   // scan, kept for tests and debugging. The GC uses TakeUnheldCandidates.
   std::vector<ObjectId> UnheldObjects() const;
 
-  // True if any candidate transition is pending — the GC's early-out: no
-  // transitions since the last take means nothing can be collectable that
-  // was not already skipped.
-  bool HasUnheldCandidates() const { return !unheld_candidates_.empty(); }
-
   // Moves the pending collection candidates into `out`: sorted ascending,
   // deduplicated, and filtered to objects that are still alive and unheld.
   // Consumes the pending list. Collection order therefore matches the
@@ -204,6 +203,10 @@ class Heap {
   std::vector<ObjectId> unheld_candidates_;
   StringInterner labels_;
   std::string label_scratch_;
+  // Label id of AllocDescribed's (kind, descriptor id), at
+  // descriptor_id * kObjectKinds + kind; kInvalidId until first use.
+  // Cleared by RestoreState, which may renumber both id spaces.
+  std::vector<StringInterner::Id> described_labels_;
 };
 
 }  // namespace jgre::rt

@@ -1,11 +1,11 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/log.h"
-#include "common/strings.h"
 #include "obs/trace.h"
 
 namespace jgre::rt {
@@ -24,13 +24,15 @@ Runtime::Runtime(SimClock* clock, Config config)
       vm_(clock, config_.name, config_.max_global_refs,
           config_.max_global_refs, config_.obs),
       locals_(kLocalsMax, IndirectRefKind::kLocal,
-              StrCat(config_.name, " JNI local")) {
+              config_.name + " JNI local") {
   // Runtime-init references (WellKnownClasses::CacheClass etc.). They are
   // held forever, so the GC never reclaims them; the paper's static analysis
   // filters the 67 native paths that only run here.
   for (std::size_t i = 0; i < config_.boot_class_refs; ++i) {
-    const ObjectId cls =
-        heap_.Alloc(ObjectKind::kClassRoot, StrCat("class-root#", i));
+    // Under 10,000 roots the label fits std::string's inline buffer, so
+    // this allocates nothing.
+    const ObjectId cls = heap_.Alloc(ObjectKind::kClassRoot,
+                                     "class-root#" + std::to_string(i));
     heap_.AddHold(cls);  // pinned by the class table
     auto ref = vm_.AddGlobalRef(cls);
     (void)ref;
@@ -44,14 +46,15 @@ Result<IndirectRef> Runtime::AddLocalRef(ObjectId obj) {
   return locals_.Add(locals_.CurrentCookie(), obj);
 }
 
-Result<ObjectId> Runtime::GetOrCreateBinderProxy(NodeId node,
-                                                 std::string_view descriptor) {
+Result<ObjectId> Runtime::GetOrCreateBinderProxy(
+    NodeId node, StringInterner::Id descriptor_id,
+    std::string_view descriptor) {
   const std::size_t node_slot = static_cast<std::size_t>(node.value());
   if (node_slot < proxy_by_node_.size() && proxy_by_node_[node_slot] != 0) {
     return ObjectId{proxy_by_node_[node_slot]};
   }
   const ObjectId proxy =
-      heap_.Alloc(ObjectKind::kBinderProxy, "BinderProxy:", descriptor);
+      heap_.AllocDescribed(ObjectKind::kBinderProxy, descriptor_id, descriptor);
   auto ref = vm_.AddGlobalRef(proxy);
   if (!ref.ok()) {
     heap_.Free(proxy);
@@ -77,21 +80,9 @@ Result<ObjectId> Runtime::GetOrCreateBinderProxy(NodeId node,
 }
 
 Result<ObjectId> Runtime::AllocManagedObject(ObjectKind kind,
-                                             std::string_view label) {
-  const ObjectId obj = heap_.Alloc(kind, label);
-  auto ref = vm_.AddGlobalRef(obj);
-  if (!ref.ok()) {
-    heap_.Free(obj);
-    return ref.status();
-  }
-  heap_.SetManagedRef(obj, ref.value());
-  return obj;
-}
-
-Result<ObjectId> Runtime::AllocManagedObject(ObjectKind kind,
-                                             std::string_view label_prefix,
-                                             std::string_view label_suffix) {
-  const ObjectId obj = heap_.Alloc(kind, label_prefix, label_suffix);
+                                             StringInterner::Id descriptor_id,
+                                             std::string_view descriptor) {
+  const ObjectId obj = heap_.AllocDescribed(kind, descriptor_id, descriptor);
   auto ref = vm_.AddGlobalRef(obj);
   if (!ref.ok()) {
     heap_.Free(obj);

@@ -61,9 +61,10 @@ class Runtime {
 
   // Returns the proxy object for `node`, creating it (and its JGR) if this
   // process has not seen the node before or the old proxy was collected.
-  // The proxy's heap label is "BinderProxy:" + `descriptor`, composed
-  // without allocating.
+  // The proxy's heap label is "BinderProxy:" + `descriptor`, cached per
+  // `descriptor_id` (see Heap::AllocDescribed).
   Result<ObjectId> GetOrCreateBinderProxy(NodeId node,
+                                          StringInterner::Id descriptor_id,
                                           std::string_view descriptor);
 
   // True if a live proxy for `node` is cached.
@@ -82,13 +83,11 @@ class Runtime {
   // --- Managed objects (JavaDeathRecipient pattern) ---------------------
 
   // Allocates a heap object holding one JGR; the GC deletes the JGR and frees
-  // the object once its strong-hold count reaches zero.
-  Result<ObjectId> AllocManagedObject(ObjectKind kind, std::string_view label);
-  // Composed-label variant (label = prefix + suffix, interned allocation-free
-  // on the steady state).
+  // the object once its strong-hold count reaches zero. It is labelled by
+  // kind and interface descriptor (see Heap::AllocDescribed).
   Result<ObjectId> AllocManagedObject(ObjectKind kind,
-                                      std::string_view label_prefix,
-                                      std::string_view label_suffix);
+                                      StringInterner::Id descriptor_id,
+                                      std::string_view descriptor);
 
   // Allocates a plain heap object with NO global ref (parameters, payloads).
   ObjectId AllocPlainObject(std::string_view label) {

@@ -1,6 +1,7 @@
 #include "services/activity_service.h"
 
 #include "common/log.h"
+#include "common/strings.h"
 
 namespace jgre::services {
 
@@ -89,7 +90,7 @@ Status ActivityService::OnTransact(std::uint32_t code,
       auto uid = sys_->package_manager->GetUidForPackage(pkg.value());
       if (!uid.ok()) return uid.status();
       for (Pid pid : sys_->kernel->LivePidsForUid(uid.value())) {
-        sys_->kernel->KillProcess(pid, "force-stop " + pkg.value());
+        sys_->kernel->KillProcess(pid, StrCat("force-stop ", pkg.value()));
       }
       ++force_stops_;
       JGRE_LOG(kInfo, "ActivityManager") << "Force stopping " << pkg.value();

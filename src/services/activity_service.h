@@ -30,13 +30,6 @@ class ActivityService : public SystemService {
                     binder::Parcel* reply,
                     const binder::CallContext& ctx) override;
 
-  std::size_t TaskStackListenerCount() const {
-    return task_stack_listeners_.RegisteredCount();
-  }
-  std::size_t ReceiverCount() const { return receivers_.RegisteredCount(); }
-  std::size_t ConnectionCount() const {
-    return service_connections_.RegisteredCount();
-  }
   std::int64_t force_stops() const { return force_stops_; }
 
   void SaveState(snapshot::Serializer& out) const override {

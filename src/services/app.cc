@@ -27,12 +27,12 @@ rt::Runtime* AppProcess::runtime() const {
 }
 
 std::shared_ptr<binder::BBinder> AppProcess::NewBinder(
-    const std::string& descriptor) {
+    std::string_view descriptor) {
   return driver_->MakeBinder<NoopBinder>(pid_, descriptor);
 }
 
-Result<IpcClient> AppProcess::GetService(const std::string& name,
-                                         const std::string& descriptor) const {
+Result<IpcClient> AppProcess::GetService(std::string_view name,
+                                         std::string_view descriptor) const {
   auto service = service_manager_->GetService(name, pid_);
   if (!service.ok()) return service.status();
   return IpcClient(service.value(), descriptor);

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -22,8 +23,8 @@ namespace jgre::services {
 // A do-nothing callback binder: the `new Binder()` of Code-Snippet 2.
 class NoopBinder : public binder::BBinder {
  public:
-  explicit NoopBinder(std::string descriptor)
-      : binder::BBinder(std::move(descriptor)) {}
+  explicit NoopBinder(std::string_view descriptor)
+      : binder::BBinder(std::string(descriptor)) {}
   Status OnTransact(std::uint32_t code, const binder::Parcel& data,
                     binder::Parcel* reply,
                     const binder::CallContext& ctx) override;
@@ -42,11 +43,11 @@ class AppProcess {
   rt::Runtime* runtime() const;
 
   // `new Binder()`: a fresh local binder owned by this app.
-  std::shared_ptr<binder::BBinder> NewBinder(const std::string& descriptor);
+  std::shared_ptr<binder::BBinder> NewBinder(std::string_view descriptor);
 
   // ServiceManager.getService + Stub.asInterface.
-  Result<IpcClient> GetService(const std::string& name,
-                               const std::string& descriptor) const;
+  Result<IpcClient> GetService(std::string_view name,
+                               std::string_view descriptor) const;
 
   binder::BinderDriver* driver() const { return driver_; }
 

@@ -26,13 +26,6 @@ class AudioService : public SystemService {
                     binder::Parcel* reply,
                     const binder::CallContext& ctx) override;
 
-  std::size_t RemoteControllerCount() const {
-    return remote_controllers_.RegisteredCount();
-  }
-  std::size_t RoutesObserverCount() const {
-    return routes_observers_.RegisteredCount();
-  }
-
   void SaveState(snapshot::Serializer& out) const override {
     SystemService::SaveState(out);
     remote_controllers_.SaveState(out);

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/status.h"
@@ -22,8 +23,8 @@ namespace jgre::services {
 class IpcClient {
  public:
   IpcClient() = default;
-  IpcClient(binder::StrongBinder service, std::string descriptor)
-      : service_(std::move(service)), descriptor_(std::move(descriptor)) {}
+  IpcClient(binder::StrongBinder service, std::string_view descriptor)
+      : service_(std::move(service)), descriptor_(descriptor) {}
 
   bool valid() const { return service_.valid(); }
   const binder::StrongBinder& service() const { return service_; }

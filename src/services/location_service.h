@@ -33,16 +33,6 @@ class LocationService : public SystemService {
                     binder::Parcel* reply,
                     const binder::CallContext& ctx) override;
 
-  std::size_t GpsStatusListenerCount() const {
-    return gps_status_listeners_.RegisteredCount();
-  }
-  std::size_t MeasurementsListenerCount() const {
-    return measurements_listeners_.RegisteredCount();
-  }
-  std::size_t NavigationListenerCount() const {
-    return navigation_listeners_.RegisteredCount();
-  }
-
   void SaveState(snapshot::Serializer& out) const override {
     SystemService::SaveState(out);
     gps_status_listeners_.SaveState(out);

@@ -17,7 +17,7 @@ NotificationService::NotificationService(SystemContext* sys)
       callbacks_(sys->driver, sys->system_server_pid,
                  "notification.ToastCallbacks") {}
 
-int NotificationService::CountForPackage(const std::string& pkg) const {
+int NotificationService::CountForPackage(std::string_view pkg) const {
   int count = 0;
   for (const ToastRecord& record : toast_queue_) {
     if (record.pkg == pkg) ++count;
@@ -84,6 +84,7 @@ void NotificationService::RestoreState(snapshot::Deserializer& in) {
     const NodeId node{in.I64()};
     records_per_node_.emplace(node, static_cast<int>(in.I64()));
   }
+  snapshot::ReleaseExcess(records_per_node_);
   current_toast_shown_since_us_ = in.U64();
   notifications_per_pkg_.clear();
   for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
@@ -131,7 +132,8 @@ Status NotificationService::OnTransact(std::uint32_t code,
       }
       callbacks_.Register(callback.value());  // no-op if node already known
       ++records_per_node_[callback.value().node];
-      toast_queue_.push_back(ToastRecord{pkg.value(), callback.value().node});
+      toast_queue_.push_back(
+          ToastRecord{std::string(pkg.value()), callback.value().node});
       return Status::Ok();
     }
     case TRANSACTION_cancelToast: {

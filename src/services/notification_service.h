@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "services/system_service.h"
@@ -42,9 +43,6 @@ class NotificationService : public SystemService {
                     const binder::CallContext& ctx) override;
 
   std::size_t ToastQueueSize() const { return toast_queue_.size(); }
-  std::size_t RetainedCallbackCount() const {
-    return callbacks_.RegisteredCount();
-  }
 
   void SaveState(snapshot::Serializer& out) const override;
   void RestoreState(snapshot::Deserializer& in) override;
@@ -58,7 +56,7 @@ class NotificationService : public SystemService {
   // Pops shown/expired toasts off the queue front (toasts display one at a
   // time); releases callbacks whose last record left the queue.
   void DrainShownToasts(const binder::CallContext& ctx);
-  int CountForPackage(const std::string& pkg) const;
+  int CountForPackage(std::string_view pkg) const;
   void ReleaseRecord(const ToastRecord& record);
 
   binder::RemoteCallbackList callbacks_;

@@ -36,33 +36,12 @@ void PackageManager::DefinePermission(const std::string& name,
 
 void PackageManager::InstallPackage(const std::string& package, Uid uid,
                                     const std::set<std::string>& granted) {
-  packages_[package] = PackageInfo{uid, granted};
+  packages_[package] = PackageInfo{uid, {granted.begin(), granted.end()}};
   uid_to_package_[uid] = package;
 }
 
-void PackageManager::UninstallPackage(const std::string& package) {
-  auto it = packages_.find(package);
-  if (it == packages_.end()) return;
-  uid_to_package_.erase(it->second.uid);
-  packages_.erase(it);
-}
-
-void PackageManager::GrantPermission(const std::string& package,
-                                     const std::string& perm) {
-  if (auto it = packages_.find(package); it != packages_.end()) {
-    it->second.granted.insert(perm);
-  }
-}
-
-void PackageManager::RevokePermission(const std::string& package,
-                                      const std::string& perm) {
-  if (auto it = packages_.find(package); it != packages_.end()) {
-    it->second.granted.erase(perm);
-  }
-}
-
 bool PackageManager::CheckPermission(Uid uid,
-                                     const std::string& permission) const {
+                                     std::string_view permission) const {
   if (uid == kRootUid || uid == kSystemUid) return true;
   auto pkg_it = uid_to_package_.find(uid);
   if (pkg_it == uid_to_package_.end()) return false;
@@ -78,28 +57,12 @@ Result<std::string> PackageManager::GetPackageForUid(Uid uid) const {
   return it->second;
 }
 
-Result<Uid> PackageManager::GetUidForPackage(const std::string& package) const {
+Result<Uid> PackageManager::GetUidForPackage(std::string_view package) const {
   auto it = packages_.find(package);
   if (it == packages_.end()) {
     return NotFound(StrCat("no package named ", package));
   }
   return it->second.uid;
-}
-
-Result<ProtectionLevel> PackageManager::GetProtectionLevel(
-    const std::string& perm) const {
-  auto it = permissions_.find(perm);
-  if (it == permissions_.end()) {
-    return NotFound(StrCat("undeclared permission ", perm));
-  }
-  return it->second;
-}
-
-std::vector<std::string> PackageManager::InstalledPackages() const {
-  std::vector<std::string> out;
-  out.reserve(packages_.size());
-  for (const auto& [name, info] : packages_) out.push_back(name);
-  return out;
 }
 
 }  // namespace jgre::services

@@ -11,7 +11,7 @@
 #include <map>
 #include <set>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -56,19 +56,12 @@ class PackageManager {
   // Installs `package` under `uid`. `granted` must be declared permissions.
   void InstallPackage(const std::string& package, Uid uid,
                       const std::set<std::string>& granted = {});
-  void UninstallPackage(const std::string& package);
-
-  void GrantPermission(const std::string& package, const std::string& perm);
-  void RevokePermission(const std::string& package, const std::string& perm);
 
   // PackageManager.checkPermission: uid 0/1000 hold everything.
-  bool CheckPermission(Uid uid, const std::string& permission) const;
+  bool CheckPermission(Uid uid, std::string_view permission) const;
 
   Result<std::string> GetPackageForUid(Uid uid) const;
-  Result<Uid> GetUidForPackage(const std::string& package) const;
-  Result<ProtectionLevel> GetProtectionLevel(const std::string& perm) const;
-
-  std::vector<std::string> InstalledPackages() const;
+  Result<Uid> GetUidForPackage(std::string_view package) const;
 
   // Checkpointing: installed packages, uid routing, declared permissions.
   // All containers are ordered, so iteration is already byte-stable.
@@ -110,9 +103,9 @@ class PackageManager {
  private:
   struct PackageInfo {
     Uid uid;
-    std::set<std::string> granted;
+    std::set<std::string, std::less<>> granted;
   };
-  std::map<std::string, PackageInfo> packages_;
+  std::map<std::string, PackageInfo, std::less<>> packages_;
   std::map<Uid, std::string> uid_to_package_;
   std::map<std::string, ProtectionLevel> permissions_;
 };

@@ -22,6 +22,13 @@ RegistryServiceBase::RegistryServiceBase(SystemContext* sys,
     : SystemService(sys, std::move(service_name), std::move(descriptor)),
       host_pid_(host_pid),
       methods_(std::move(methods)) {
+  session_descriptors_.resize(methods_.size());
+  for (std::size_t i = 0; i < methods_.size(); ++i) {
+    if (methods_[i].kind == MethodKind::kSession) {
+      session_descriptors_[i] = StrCat(InterfaceDescriptor(), ".",
+                                       methods_[i].method, ".Session");
+    }
+  }
   registries_.resize(registry_names.empty() ? 1 : registry_names.size());
   for (std::size_t i = 0; i < registries_.size(); ++i) {
     const std::string reg_name =
@@ -56,23 +63,23 @@ std::int64_t RegistryServiceBase::ConsumedFds(int registry) const {
   return registries_.at(static_cast<std::size_t>(registry)).consumed_fds;
 }
 
-Status RegistryServiceBase::ReadArgs(
-    const MethodSpec& spec, const binder::Parcel& data,
-    const binder::CallContext& ctx,
-    std::vector<binder::StrongBinder>* binders, int* fds_received,
-    std::vector<std::int64_t>* scalars) const {
+Status RegistryServiceBase::ReadArgs(const MethodSpec& spec,
+                                     const binder::Parcel& data,
+                                     const binder::CallContext& ctx,
+                                     BinderArgs* binders, int* fds_received,
+                                     ScalarArgs* scalars) const {
   for (ArgKind kind : spec.args) {
     switch (kind) {
       case ArgKind::kInt32: {
         auto v = data.ReadInt32();
         if (!v.ok()) return v.status();
-        if (scalars != nullptr) scalars->push_back(v.value());
+        scalars->push_back(v.value());
         break;
       }
       case ArgKind::kInt64: {
         auto v = data.ReadInt64();
         if (!v.ok()) return v.status();
-        if (scalars != nullptr) scalars->push_back(v.value());
+        scalars->push_back(v.value());
         break;
       }
       case ArgKind::kBool: {
@@ -81,7 +88,7 @@ Status RegistryServiceBase::ReadArgs(
         break;
       }
       case ArgKind::kString: {
-        auto v = data.ReadString();
+        auto v = data.ReadString();  // a view: read past, never copied
         if (!v.ok()) return v.status();
         break;
       }
@@ -184,9 +191,9 @@ Status RegistryServiceBase::OnTransact(std::uint32_t code,
   Charge(ctx, spec->cost,
          reg.callbacks->RegisteredCount() + reg.sessions.size());
 
-  std::vector<binder::StrongBinder> binders;
+  BinderArgs binders;
   int fds_received = 0;
-  std::vector<std::int64_t> scalars;
+  ScalarArgs scalars;
   JGRE_RETURN_IF_ERROR(
       ReadArgs(*spec, data, ctx, &binders, &fds_received, &scalars));
 
@@ -236,8 +243,8 @@ Status RegistryServiceBase::OnTransact(std::uint32_t code,
         // Server-side session object: one more node + JavaBBinder JGR in the
         // host process, torn down when the client unregisters or dies.
         auto session = sys_->driver->MakeBinder<SessionBinder>(
-            host_pid_, StrCat(InterfaceDescriptor(), ".", spec->method,
-                              ".Session"));
+            host_pid_, session_descriptors_[static_cast<std::size_t>(
+                           spec - methods_.data())]);
         reg.sessions.emplace(client.node, session->node());
         if (reply != nullptr) reply->WriteStrongBinder(session);
       } else if (reply != nullptr) {

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/inline_vector.h"
 #include "services/system_service.h"
 
 namespace jgre::services {
@@ -112,16 +113,22 @@ class RegistryServiceBase : public SystemService {
     std::int64_t next_token_seq = 0;
   };
 
+  // A call's binder and integer arguments, in parcel order. Argument lists
+  // are short and fixed per method, so these stay inline.
+  using BinderArgs = InlineVector<binder::StrongBinder, 4>;
+  using ScalarArgs = InlineVector<std::int64_t, 4>;
+
   const MethodSpec* FindMethod(std::uint32_t code) const;
   Status ReadArgs(const MethodSpec& spec, const binder::Parcel& data,
-                  const binder::CallContext& ctx,
-                  std::vector<binder::StrongBinder>* binders,
-                  int* fds_received,
-                  std::vector<std::int64_t>* scalars) const;
+                  const binder::CallContext& ctx, BinderArgs* binders,
+                  int* fds_received, ScalarArgs* scalars) const;
   void DropSession(Registry& reg, NodeId client_node);
 
   Pid host_pid_;
   std::vector<MethodSpec> methods_;
+  // Parallel to methods_: the descriptor of a kSession method's session
+  // binders ("<interface>.<method>.Session"), empty for other kinds.
+  std::vector<std::string> session_descriptors_;
   std::vector<Registry> registries_;
 };
 

@@ -47,10 +47,6 @@ Status MultiplexingListenerHelper::AddListener() {
   return Status::Ok();
 }
 
-void MultiplexingListenerHelper::RemoveListener() {
-  if (local_listeners_ > 0) --local_listeners_;
-}
-
 ClipboardManager::ClipboardManager(AppProcess* app)
     : helper_(app, ClipboardService::kName, ClipboardService::kDescriptor,
               ClipboardService::TRANSACTION_addPrimaryClipChangedListener) {}

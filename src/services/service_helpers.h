@@ -41,7 +41,6 @@ class MultiplexingListenerHelper {
   // Adds a local listener. Only the FIRST call sends an IPC registration
   // (with the shared transport binder); later calls are purely local.
   Status AddListener();
-  void RemoveListener();
 
   int local_listener_count() const { return local_listeners_; }
   bool transport_registered() const { return transport_ != nullptr; }
@@ -62,7 +61,6 @@ class ClipboardManager {
  public:
   explicit ClipboardManager(AppProcess* app);
   Status AddPrimaryClipChangedListener() { return helper_.AddListener(); }
-  void RemovePrimaryClipChangedListener() { helper_.RemoveListener(); }
   int listener_count() const { return helper_.local_listener_count(); }
 
  private:

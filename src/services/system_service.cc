@@ -12,7 +12,7 @@ SystemService::SystemService(SystemContext* sys, std::string service_name,
       service_name_(std::move(service_name)) {}
 
 Status SystemService::Enforce(const binder::CallContext& ctx,
-                              const std::string& permission) const {
+                              std::string_view permission) const {
   if (sys_->package_manager->CheckPermission(ctx.calling_uid, permission)) {
     return Status::Ok();
   }

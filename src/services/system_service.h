@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -73,7 +74,7 @@ class SystemService : public binder::BBinder {
  protected:
   // Context.enforceCallingPermission: kPermissionDenied unless granted.
   Status Enforce(const binder::CallContext& ctx,
-                 const std::string& permission) const;
+                 std::string_view permission) const;
 
   // Binder.getCallingUid()-based package lookup.
   Result<std::string> CallingPackage(const binder::CallContext& ctx) const;

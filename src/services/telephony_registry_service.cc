@@ -61,7 +61,8 @@ Status TelephonyRegistryService::HandleListen(const binder::Parcel& data,
   // Fresh binder => new Record retained until LISTEN_NONE or caller death.
   listeners_.Register(callback.value());
   records_.push_back(
-      Record{callback.value().node, pkg.value(), sub_id, events.value()});
+      Record{callback.value().node, std::string(pkg.value()), sub_id,
+             events.value()});
   return Status::Ok();
 }
 
@@ -90,6 +91,7 @@ void TelephonyRegistryService::RestoreState(snapshot::Deserializer& in) {
     record.events = static_cast<std::int32_t>(in.I64());
     records_.push_back(std::move(record));
   }
+  snapshot::ReleaseExcess(records_);
   subscription_listeners_.RestoreState(in);
 }
 

@@ -31,9 +31,6 @@ class TelephonyRegistryService : public SystemService {
                     const binder::CallContext& ctx) override;
 
   std::size_t RecordCount() const { return records_.size(); }
-  std::size_t SubscriptionListenerCount() const {
-    return subscription_listeners_.RegisteredCount();
-  }
 
   void SaveState(snapshot::Serializer& out) const override;
   void RestoreState(snapshot::Deserializer& in) override;

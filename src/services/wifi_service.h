@@ -37,9 +37,6 @@ class WifiService : public SystemService {
                     const binder::CallContext& ctx) override;
 
   std::size_t WifiLockCount() const { return wifi_locks_.RegisteredCount(); }
-  std::size_t MulticastLockCount() const {
-    return multicast_locks_.RegisteredCount();
-  }
 
   void SaveState(snapshot::Serializer& out) const override {
     SystemService::SaveState(out);
@@ -61,6 +58,7 @@ class WifiService : public SystemService {
       const NodeId node{in.I64()};
       lock_tags_.emplace(node, in.Str());
     }
+    snapshot::ReleaseExcess(lock_tags_);
   }
 
  private:

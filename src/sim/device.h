@@ -90,10 +90,6 @@ class DeviceSpec {
     vuln_ = vuln;
     return *this;
   }
-  DeviceSpec& WithAttackPackage(std::string package) {
-    attack_package_ = std::move(package);
-    return *this;
-  }
   DeviceSpec& WithDefense(bool enabled = true) {
     defense_ = enabled;
     return *this;

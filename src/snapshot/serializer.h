@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 namespace jgre::snapshot {
@@ -227,6 +228,15 @@ void ReleaseExcess(std::vector<T>& v) {
   if (v.capacity() > 2 * v.size() &&
       (v.capacity() - v.size()) * sizeof(T) > kKeptBytes) {
     v.shrink_to_fit();
+  }
+}
+// The same for a hash table's bucket array, which clear() and erase() keep.
+template <typename K, typename V, typename H, typename E, typename A>
+void ReleaseExcess(std::unordered_map<K, V, H, E, A>& map) {
+  constexpr std::size_t kKeptBytes = 4096;
+  if (map.bucket_count() > 2 * map.size() &&
+      (map.bucket_count() - map.size()) * sizeof(void*) > kKeptBytes) {
+    map.rehash(0);  // the fewest buckets the size needs
   }
 }
 

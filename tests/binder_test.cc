@@ -4,15 +4,35 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string>
+#include <vector>
 
 #include "binder/binder_driver.h"
 #include "binder/parcel.h"
 #include "binder/remote_callback_list.h"
+#include "attack/malicious_app.h"
+#include "attack/vuln_registry.h"
 #include "binder/service_manager.h"
+#include "core/android_system.h"
+#include "defense/jgre_defender.h"
 #include "os/kernel.h"
+#include "services/activity_service.h"
+#include "services/clipboard_service.h"
 
 namespace jgre::binder {
 namespace {
+
+// The retained IPC log records with seq >= since_seq, copied out.
+Result<std::vector<IpcRecord>> ReadIpcLog(
+    const BinderDriver& driver, Uid caller, std::uint64_t since_seq,
+    std::size_t max_records = BinderDriver::kNoRecordLimit) {
+  std::vector<IpcRecord> out;
+  auto visited = driver.VisitIpcLogSince(
+      caller, since_seq, [&out](const IpcRecord& rec) { out.push_back(rec); },
+      max_records);
+  if (!visited.ok()) return visited.status();
+  return out;
+}
 
 // Minimal echo service used as a transaction target.
 class EchoBinder : public BBinder {
@@ -103,6 +123,42 @@ TEST(ParcelTest, InterfaceTokenMismatchRejected) {
   Parcel parcel;
   parcel.WriteInterfaceToken("test.IFoo");
   EXPECT_FALSE(parcel.EnforceInterface("test.IBar").ok());
+}
+
+// The read errors are part of the transaction's observable status text.
+TEST(ParcelTest, ReadErrorTextsAreUnchanged) {
+  Parcel parcel;
+  const std::string written = "test.IFoo";
+  parcel.WriteInterfaceToken(written);
+  parcel.WriteInt32(1);
+  EXPECT_EQ(parcel.EnforceInterface("test.IBar").message(),
+            "interface token mismatch: expected test.IBar, got test.IFoo");
+  parcel.RewindRead();
+  EXPECT_EQ(parcel.ReadInt32().status().message(),
+            "parcel type confusion at index 0");
+  ASSERT_TRUE(parcel.EnforceInterface("test.IFoo").ok());
+  EXPECT_EQ(parcel.ReadString().status().message(),
+            "parcel type confusion at index 1");
+  ASSERT_TRUE(parcel.ReadInt32().ok());
+  EXPECT_EQ(parcel.ReadBool().status().message(), "parcel read past end");
+}
+
+// Values past the inline ones spill to the heap and read back in order;
+// strings are read as views into the parcel.
+TEST(ParcelTest, ManyValuesRoundTrip) {
+  Parcel parcel;
+  parcel.WriteInterfaceToken("test.IFoo");
+  for (int i = 0; i < 20; ++i) {
+    parcel.WriteInt32(i);
+    parcel.WriteString(std::string(40, static_cast<char>('a' + i)));
+  }
+  ASSERT_EQ(parcel.value_count(), 41u);
+  ASSERT_TRUE(parcel.EnforceInterface("test.IFoo").ok());
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(parcel.ReadInt32().value(), i);
+    EXPECT_EQ(parcel.ReadString().value(),
+              std::string(40, static_cast<char>('a' + i)));
+  }
 }
 
 TEST(ParcelTest, PayloadBytesTrackWrites) {
@@ -289,13 +345,13 @@ TEST_F(BinderTest, IpcLogOnlyWhenDefenseEnabledAndSystemReadable) {
   Parcel data, reply;
   data.WriteInt32(1);
   (void)proxy.value().binder->Transact(1, data, &reply);
-  auto empty_log = driver_.ReadIpcLog(kSystemUid, 0);
+  auto empty_log = ReadIpcLog(driver_, kSystemUid, 0);
   ASSERT_TRUE(empty_log.ok());
   EXPECT_TRUE(empty_log.value().empty());  // stock driver: no log
 
   driver_.SetDefenseLogging(true);
   (void)proxy.value().binder->Transact(1, data, &reply);
-  auto log = driver_.ReadIpcLog(kSystemUid, 0);
+  auto log = ReadIpcLog(driver_, kSystemUid, 0);
   ASSERT_TRUE(log.ok());
   ASSERT_EQ(log.value().size(), 1u);
   EXPECT_EQ(log.value().front().from_pid, client_pid_);
@@ -303,7 +359,7 @@ TEST_F(BinderTest, IpcLogOnlyWhenDefenseEnabledAndSystemReadable) {
   EXPECT_EQ(driver_.DescriptorName(log.value().front().descriptor_id),
             "test.IEcho");
   // Third-party uids may not read the log (§V.B file permissions).
-  EXPECT_EQ(driver_.ReadIpcLog(Uid{10001}, 0).status().code(),
+  EXPECT_EQ(ReadIpcLog(driver_, Uid{10001}, 0).status().code(),
             StatusCode::kPermissionDenied);
 }
 
@@ -318,26 +374,26 @@ TEST_F(BinderTest, IpcLogWindowBySeqAndMaxRecords) {
     ASSERT_TRUE(proxy.value().binder->Transact(1, data, &reply).ok());
   }
   // Full read: sequence numbers are 1-based and contiguous.
-  auto all = driver_.ReadIpcLog(kSystemUid, 0);
+  auto all = ReadIpcLog(driver_, kSystemUid, 0);
   ASSERT_TRUE(all.ok());
   ASSERT_EQ(all.value().size(), 10u);
   for (std::size_t i = 0; i < all.value().size(); ++i) {
     EXPECT_EQ(all.value()[i].seq, i + 1);
   }
   // since_seq returns only records at or after that sequence number.
-  auto tail = driver_.ReadIpcLog(kSystemUid, 8);
+  auto tail = ReadIpcLog(driver_, kSystemUid, 8);
   ASSERT_TRUE(tail.ok());
   ASSERT_EQ(tail.value().size(), 3u);
   EXPECT_EQ(tail.value().front().seq, 8u);
   EXPECT_EQ(tail.value().back().seq, 10u);
   // max_records bounds the window from the front (oldest first).
-  auto bounded = driver_.ReadIpcLog(kSystemUid, 4, 2);
+  auto bounded = ReadIpcLog(driver_, kSystemUid, 4, 2);
   ASSERT_TRUE(bounded.ok());
   ASSERT_EQ(bounded.value().size(), 2u);
   EXPECT_EQ(bounded.value().front().seq, 4u);
   EXPECT_EQ(bounded.value().back().seq, 5u);
   // A since_seq past the end yields an empty window, not an error.
-  auto beyond = driver_.ReadIpcLog(kSystemUid, 99);
+  auto beyond = ReadIpcLog(driver_, kSystemUid, 99);
   ASSERT_TRUE(beyond.ok());
   EXPECT_TRUE(beyond.value().empty());
 }
@@ -368,14 +424,14 @@ TEST_F(BinderTest, IpcLogRingDropsOldestButKeepsSeqStable) {
   }
   EXPECT_EQ(driver.ipc_log_size(), 4u);
   EXPECT_EQ(driver.ipc_log_next_seq(), 17u);
-  auto log = driver.ReadIpcLog(kSystemUid, 0);
+  auto log = ReadIpcLog(driver, kSystemUid, 0);
   ASSERT_TRUE(log.ok());
   ASSERT_EQ(log.value().size(), 4u);
   EXPECT_EQ(log.value().front().seq, 13u);
   EXPECT_EQ(log.value().back().seq, 16u);
   // A watermark pointing into the evicted range clamps to the oldest
   // retained record instead of wrapping or failing.
-  auto clamped = driver.ReadIpcLog(kSystemUid, 5);
+  auto clamped = ReadIpcLog(driver, kSystemUid, 5);
   ASSERT_TRUE(clamped.ok());
   ASSERT_EQ(clamped.value().size(), 4u);
   EXPECT_EQ(clamped.value().front().seq, 13u);
@@ -472,6 +528,38 @@ TEST_F(BinderTest, RemoteCallbackListChurnIsBoundedAndLeavesNoResidue) {
 
 // --- ServiceManager ------------------------------------------------------------------
 
+// A restore checks what it sizes or indexes tables by: a node's descriptor
+// id (heap labels are cached by it) and the death-link cursor (the link
+// table is as long as it). Offsets are into this fixture's driver state:
+// one node, "test.IEcho", no links.
+TEST_F(BinderTest, RestoreRejectsOutOfRangeDescriptorAndLinkCursor) {
+  snapshot::Serializer saved;
+  driver_.SaveState(saved);
+  constexpr std::size_t kDescriptorId = 4 + 8 + 8 + 10 + 8 + 8 + 8;
+  constexpr std::size_t kLinkCursor = kDescriptorId + 4 + 1 + 8 + 8 + 1 + 1;
+  const auto restores = [&](std::size_t at, std::size_t width,
+                            std::uint64_t value) {
+    std::vector<std::uint8_t> bytes = saved.buffer();
+    for (std::size_t b = 0; b < width; ++b) {
+      bytes.at(at + b) = static_cast<std::uint8_t>(value >> (8 * b));
+    }
+    os::Kernel kernel;
+    os::Kernel::ProcessConfig config;
+    config.with_runtime = true;
+    config.memory_kb = 1024;
+    (void)kernel.CreateProcess("server", kSystemUid, config);
+    (void)kernel.CreateProcess("client", Uid{10001}, config);
+    BinderDriver driver(&kernel);
+    snapshot::Deserializer in(bytes);
+    driver.RestoreState(in);
+    return in.ok();
+  };
+  EXPECT_TRUE(restores(kDescriptorId, 4, 0));  // the saved value itself
+  EXPECT_TRUE(restores(kLinkCursor, 8, 1));
+  EXPECT_FALSE(restores(kDescriptorId, 4, 1));
+  EXPECT_FALSE(restores(kLinkCursor, 8, std::uint64_t{1} << 40));
+}
+
 TEST_F(BinderTest, ServiceManagerRegistrationRequiresSystemUid) {
   EXPECT_TRUE(service_manager_.AddService("echo", echo_, kSystemUid).ok());
   EXPECT_EQ(
@@ -490,4 +578,84 @@ TEST_F(BinderTest, GetServiceMaterializesInCaller) {
 }
 
 }  // namespace
+}  // namespace jgre::binder
+
+namespace jgre::binder {
+
+// --- Borrowed interface tokens in the running system ----------------------------
+
+namespace {
+// An app-side callback that enforces the interface token of every call.
+class TokenCheckingBinder : public BBinder {
+ public:
+  TokenCheckingBinder(std::string expected, std::vector<Status>* seen)
+      : BBinder("TokenCheckingBinder"),
+        expected_(std::move(expected)),
+        seen_(seen) {}
+  Status OnTransact(std::uint32_t /*code*/, const Parcel& data,
+                    Parcel* /*reply*/, const CallContext& /*ctx*/) override {
+    seen_->push_back(data.EnforceInterface(expected_));
+    return Status::Ok();
+  }
+
+ private:
+  std::string expected_;
+  std::vector<Status>* seen_;
+};
+}  // namespace
+
+// The clipboard writes its listener token from a string literal; the
+// listener, in another process, enforces it against its own copy.
+TEST(BorrowedTokenTest, ClipboardCallbackTokenEnforces) {
+  core::AndroidSystem system;
+  system.Boot();
+  services::AppProcess* app = system.InstallApp("com.example.clip");
+  std::vector<Status> right, wrong;
+  auto listener = system.driver().MakeBinder<TokenCheckingBinder>(
+      app->pid(), "android.content.IOnPrimaryClipChangedListener", &right);
+  auto mismatched = system.driver().MakeBinder<TokenCheckingBinder>(
+      app->pid(), "android.content.IClipboard", &wrong);
+  auto clipboard = app->GetService(services::ClipboardService::kName,
+                                   services::ClipboardService::kDescriptor);
+  ASSERT_TRUE(clipboard.ok());
+  for (const auto& binder : {listener, mismatched}) {
+    ASSERT_TRUE(clipboard.value()
+                    .Call(services::ClipboardService::
+                              TRANSACTION_addPrimaryClipChangedListener,
+                          [&](Parcel& p) { p.WriteStrongBinder(binder); })
+                    .ok());
+  }
+  ASSERT_TRUE(clipboard.value()
+                  .Call(services::ClipboardService::TRANSACTION_setPrimaryClip,
+                        [](Parcel& p) { p.WriteString("clip"); })
+                  .ok());
+  ASSERT_EQ(right.size(), 1u);
+  EXPECT_TRUE(right.front().ok()) << right.front().ToString();
+  ASSERT_EQ(wrong.size(), 1u);
+  EXPECT_EQ(wrong.front().message(),
+            "interface token mismatch: expected android.content.IClipboard, "
+            "got android.content.IOnPrimaryClipChangedListener");
+}
+
+// The defender's force-stop is an IPC whose token is
+// ActivityService::kDescriptor; the activity service enforces it before it
+// kills the ranked attacker.
+TEST(BorrowedTokenTest, DefenderForceStopTokenEnforces) {
+  const attack::VulnSpec* vuln =
+      attack::FindVulnerability("connectivity", "requestNetwork");
+  ASSERT_NE(vuln, nullptr);
+  core::AndroidSystem system;
+  system.Boot();
+  defense::JgreDefender defender(&system);
+  defender.Install();
+  services::AppProcess* evil =
+      attack::InstallAttackApp(&system, "com.evil.app", *vuln);
+  attack::MaliciousApp attacker(&system, evil, *vuln);
+  (void)attacker.Run();
+  ASSERT_EQ(defender.incidents().size(), 1u);
+  EXPECT_TRUE(defender.incidents().front().recovered);
+  EXPECT_FALSE(evil->alive());
+  EXPECT_EQ(system.soft_reboots(), 0);
+}
+
 }  // namespace jgre::binder

@@ -1,11 +1,15 @@
 // Unit tests for the common substrate: clock, RNG, status, strings, stats,
-// and the ring buffer backing the IPC log and trace sinks.
+// the ring buffer backing the IPC log and trace sinks, and the inline vector
+// of the binder call path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/inline_vector.h"
 #include "common/ring_buffer.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -348,6 +352,62 @@ TEST(RingBufferTest, PushBulkAfterClearKeepsLogicalIndicesMonotone) {
   EXPECT_EQ(ring.end_index(), 9u);
   EXPECT_EQ(ring.At(6), 10);
   EXPECT_EQ(ring.At(8), 12);
+}
+
+// --- InlineVector -----------------------------------------------------------
+
+using Strings = InlineVector<std::string, 2>;
+
+std::vector<std::string> Contents(const Strings& v) {
+  return std::vector<std::string>(v.begin(), v.end());
+}
+
+Strings Filled(int n) {
+  Strings v;
+  for (int i = 0; i < n; ++i) v.push_back(std::string(20, 'a' + i));
+  return v;
+}
+
+// Inline (2) and spilled (5) contents survive copies and moves; a moved-from
+// vector is empty and reusable.
+TEST(InlineVectorTest, CopyAndMoveKeepContentsInlineAndSpilled) {
+  for (int n : {2, 5}) {
+    Strings source = Filled(n);
+    const std::vector<std::string> expected = Contents(source);
+    Strings copy(source);
+    EXPECT_EQ(Contents(copy), expected);
+    Strings moved(std::move(source));
+    EXPECT_EQ(Contents(moved), expected);
+    EXPECT_TRUE(source.empty());
+    source.push_back("again");
+    EXPECT_EQ(Contents(source), std::vector<std::string>{"again"});
+    Strings assigned = Filled(3);
+    assigned = std::move(moved);
+    EXPECT_EQ(Contents(assigned), expected);
+    assigned = copy;
+    EXPECT_EQ(Contents(assigned), expected);
+  }
+}
+
+// insert and erase keep the order, across the inline/heap boundary; an
+// element of the vector itself can be appended while it grows.
+TEST(InlineVectorTest, InsertEraseAndSelfAppendKeepOrder) {
+  InlineVector<int, 2> v;
+  v.push_back(1);
+  v.push_back(3);
+  v.insert(v.begin() + 1, 2);  // spills to the heap
+  v.insert(v.begin(), 0);
+  EXPECT_EQ(std::vector<int>(v.begin(), v.end()),
+            (std::vector<int>{0, 1, 2, 3}));
+  v.erase(v.begin() + 2);
+  EXPECT_EQ(std::vector<int>(v.begin(), v.end()),
+            (std::vector<int>{0, 1, 3}));
+  Strings s = Filled(2);
+  s.push_back(s[0]);  // grows while reading its own element
+  EXPECT_EQ(s.size(), 3u);
+  EXPECT_EQ(s[2], std::string(20, 'a'));
+  s.clear();
+  EXPECT_TRUE(s.empty());
 }
 
 }  // namespace

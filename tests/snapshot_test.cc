@@ -148,7 +148,7 @@ TEST(SnapshotPropertyTest, HeapArenaRoundTripIsByteStableWithHoles) {
   std::vector<ObjectId> ids;
   for (int i = 0; i < 64; ++i) {
     const ObjectId id =
-        original.Alloc(rt::ObjectKind::kBinderProxy, "BinderProxy:", "svc");
+        original.AllocDescribed(rt::ObjectKind::kBinderProxy, 0, "svc");
     ids.push_back(id);
     if (i % 3 == 0) original.AddHold(id);
     original.SetManagedRef(id, static_cast<rt::HeapIndirectRef>(0x100 + i));
@@ -395,6 +395,46 @@ TEST(SystemSnapshotTest, ReleasedDeviceRewindsLikeAFreshRestore) {
   const auto divergence = snapshot::FirstDivergence(fresh, rewound);
   EXPECT_FALSE(divergence.has_value())
       << (divergence ? divergence->description : "");
+}
+
+// A proxy keeps no copy of its interface descriptor: it reads the driver's
+// node table, which a fresh restore and a rewind both rebuild, so proxies
+// made on either (or kept across a rewind) read the right descriptor.
+TEST(SystemSnapshotTest, ProxyDescriptorsReadTheRestoredNodeTable) {
+  const sim::DeviceSpec spec = SmallScenario(42);
+  const sim::DeviceFactory factory(spec);
+  auto captured = snapshot::SystemSnapshot::Capture(*factory.BootPrefix());
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  const snapshot::SystemSnapshot& image = captured.value();
+  const auto clipboard_proxy = [](core::AndroidSystem& system) {
+    services::AppProcess* app = system.FindApp("com.svox.pico");
+    EXPECT_NE(app, nullptr);
+    auto service = system.service_manager().GetService(
+        services::ClipboardService::kName, app->pid());
+    EXPECT_TRUE(service.ok());
+    EXPECT_TRUE(service.value().binder->IsProxy());
+    return service.value().binder;
+  };
+
+  sim::RewindPool pool;
+  std::unique_ptr<core::AndroidSystem> system =
+      pool.Restore(spec, image, "descriptor test");
+  const std::shared_ptr<binder::IBinder> kept = clipboard_proxy(*system);
+  EXPECT_EQ(kept->InterfaceDescriptor(),
+            services::ClipboardService::kDescriptor);
+
+  std::unique_ptr<sim::DeviceSim> device =
+      factory.CreateDeviceOn(std::move(system));
+  DriveDevice(*device, 300);
+  system = device->Release();
+  device.reset();
+  pool.Recycle(image, std::move(system));
+  system = pool.Restore(spec, image, "descriptor test");
+  ASSERT_EQ(system->rewinds(), 1);
+  EXPECT_EQ(clipboard_proxy(*system)->InterfaceDescriptor(),
+            services::ClipboardService::kDescriptor);
+  EXPECT_EQ(kept->InterfaceDescriptor(),
+            services::ClipboardService::kDescriptor);
 }
 
 // The rewind skips a runtime only while its mutation epoch proves nothing
